@@ -20,12 +20,13 @@ whole population (``pop = n``), while a simulator node samples the *other*
 nodes (``pop = n - 1``); restricted views (a subnetwork smaller than the whole
 system) are the same override.  Supports are unchanged in either case.
 
-Absorption probabilities use the classic product-sum over down/up ratios,
-evaluated in log space because the ratios span hundreds of orders of
-magnitude; chains with a vanishing interior transition fall back to a
-tridiagonal linear solve.  Expected absorption times always use the
-tridiagonal solve (scipy's banded solver), keeping ``c = 10^4`` tractable; no
-dense matrix is ever formed outside the test oracles.
+Absorption and ever-hit probabilities share one gambler's-ruin profile: the
+classic product-sum over down/up ratios, evaluated in log space because the
+ratios span hundreds of orders of magnitude; chains with a vanishing interior
+transition fall back to a tridiagonal linear solve.  Expected absorption times
+always use that tridiagonal solve (scipy's banded solver), keeping
+``c = 10^4`` tractable; no dense matrix is ever formed outside the test
+oracles.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.special import logsumexp
 
 from snowsim.sampling import _tail_raw
 
@@ -47,6 +47,7 @@ __all__ = [
     "hitting_prob_within",
     "hitting_profile",
     "ever_hit_probability",
+    "ever_hit_profile",
 ]
 
 # Exact t-step iteration is used while t * (active states) stays below this;
@@ -118,62 +119,55 @@ def build_snowflake_chain(
     return BirthDeathChain(up=up, down=down)
 
 
-def _log_rho(chain: BirthDeathChain) -> np.ndarray:
-    """log of rho_j = prod_{l=1..j} down_l/up_l for j = 0..c-1."""
-    up, down = chain.up, chain.down
-    ratios = np.log(down[1 : chain.c]) - np.log(up[1 : chain.c])
-    return np.concatenate([[0.0], np.cumsum(ratios)])
+def _banded_solve(chain: BirthDeathChain, lo: int, rhs: np.ndarray) -> np.ndarray:
+    """Solve the chain's tridiagonal first-step system with scipy's banded LU.
+
+    Row i reads down_i x(i-1) - (up_i + down_i) x(i) + up_i x(i+1) = rhs_i.
+    Rows at or below ``lo`` and rows with up = down = 0 (the absorbing
+    endpoints and any frozen interior state) become x(i) = rhs_i.
+    """
+    up, down = chain.up.copy(), chain.down.copy()
+    pinned = up + down == 0
+    pinned[: lo + 1] = True
+    up[pinned] = down[pinned] = 0.0
+    ab = np.zeros((3, chain.c + 1))
+    ab[0, 1:] = up[:-1]  # superdiagonal: up_i multiplies x(i+1)
+    ab[1] = np.where(pinned, 1.0, -(up + down))
+    ab[2, :-1] = down[1:]  # subdiagonal: down_i multiplies x(i-1)
+    return solve_banded((1, 1), ab, rhs)
+
+
+def ever_hit_profile(chain: BirthDeathChain, target: int) -> np.ndarray:
+    """P(hit ``target`` before absorbing at c) for every start; 1 up to ``target``.
+
+    Gambler's ruin on the restricted chain [target, c]: h(i) = sum_{j>=i}
+    rho_j / sum_j rho_j with rho_j = prod_{l=target+1..j} down_l/up_l, in log
+    space because the ratios span hundreds of orders of magnitude.  A zero
+    interior transition makes a ratio degenerate; such chains use the banded
+    solve, which gives exactly 0 for every start above a state that cannot
+    step down.
+    """
+    c = chain.c
+    up, down = chain.up[target + 1 : c], chain.down[target + 1 : c]
+    if (up == 0).any() or (down == 0).any():
+        rhs = np.zeros(c + 1)
+        rhs[: target + 1] = 1.0
+        h = _banded_solve(chain, target, rhs)
+        return np.where(h > 0.0, h, 0.0)  # back substitution leaves -0.0 above a blocked state
+    logr = np.concatenate([[0.0], np.cumsum(np.log(down) - np.log(up))])
+    suffix = np.logaddexp.accumulate(logr[::-1])[::-1]  # logsumexp(logr[j:])
+    h = np.ones(c + 1)
+    h[target:c] = np.exp(suffix - suffix[0])
+    h[c] = 0.0
+    return h
 
 
 def absorption_probability(chain: BirthDeathChain, start: int) -> float:
-    """P(the chain started at ``start`` is absorbed at state 0).
-
-    Product-sum formula h(i) = sum_{j>=i} rho_j / sum_j rho_j with
-    rho_j = prod down/up, computed in log space.  Chains with a zero interior
-    transition (where a ratio is degenerate) use the tridiagonal solve
-    instead.
-    """
+    """P(the chain started at ``start`` is absorbed at state 0)."""
     c = chain.c
     if not 0 <= start <= c:
         raise ValueError(f"start={start} outside states 0..{c}")
-    if start == 0:
-        return 1.0
-    if start == c:
-        return 0.0
-    interior_up, interior_down = chain.up[1:c], chain.down[1:c]
-    if (interior_up == 0).any() or (interior_down == 0).any():
-        return float(_absorption_solve(chain)[start])
-    logr = _log_rho(chain)
-    num = logsumexp(logr[start:])
-    den = logsumexp(logr)
-    return float(np.exp(num - den))
-
-
-def _absorption_solve(chain: BirthDeathChain) -> np.ndarray:
-    """h over all states via the banded solve; handles zero transitions.
-
-    Interior equation: up_i h(i+1) - (up_i + down_i) h(i) + down_i h(i-1) = 0
-    with h(0) = 1, h(c) = 0.  A frozen interior state (up = down = 0) never
-    reaches 0, so its equation becomes h(i) = 0.
-    """
-    c = chain.c
-    up, down = chain.up.copy(), chain.down.copy()
-    diag = -(up + down)
-    frozen = (up == 0) & (down == 0)
-    frozen[0] = frozen[c] = False
-    diag[[0, c]] = 1.0
-    diag[frozen] = 1.0
-    up[frozen] = 0.0
-    down[frozen] = 0.0
-    rhs = np.zeros(c + 1)
-    rhs[0] = 1.0
-    ab = np.zeros((3, c + 1))
-    ab[0, 1:] = up[:-1]  # superdiagonal: up_i multiplies h(i+1)
-    ab[1, :] = diag
-    ab[2, :-1] = down[1:]  # subdiagonal: down_i multiplies h(i-1)
-    ab[0, 1] = 0.0  # boundary rows carry no neighbors
-    ab[2, c - 1] = 0.0
-    return solve_banded((1, 1), ab, rhs)
+    return float(ever_hit_profile(chain, 0)[start])
 
 
 def expected_absorption_time(chain: BirthDeathChain, start: int) -> float:
@@ -189,22 +183,11 @@ def expected_absorption_time(chain: BirthDeathChain, start: int) -> float:
         raise ValueError(f"start={start} outside states 0..{c}")
     if start in (0, c):
         return 0.0
-    up, down = chain.up, chain.down
-    if ((up[1:c] == 0) & (down[1:c] == 0)).any():
+    if ((chain.up[1:c] == 0) & (chain.down[1:c] == 0)).any():
         raise ValueError("chain has a frozen interior state; absorption time is infinite")
-    diag = -(up + down)
-    diag_full = diag.copy()
-    diag_full[[0, c]] = 1.0
     rhs = np.zeros(c + 1)
     rhs[1:c] = -1.0
-    ab = np.zeros((3, c + 1))
-    ab[0, 1:] = up[:-1]
-    ab[1, :] = diag_full
-    ab[2, :-1] = down[1:]
-    ab[0, 1] = 0.0
-    ab[2, c - 1] = 0.0
-    steps = solve_banded((1, 1), ab, rhs)
-    value = float(steps[start])
+    value = float(_banded_solve(chain, 0, rhs)[start])
     if not np.isfinite(value) or value < 0:
         raise ValueError("absorption time solve failed; chain may be ill-conditioned")
     return value / c
@@ -257,21 +240,8 @@ def hitting_prob_within(chain: BirthDeathChain, start: int, target: int, t: int)
 
 
 def ever_hit_probability(chain: BirthDeathChain, start: int, target: int) -> float:
-    """P(hit ``target`` before absorbing at c), the infinite-horizon limit.
-
-    Gambler's-ruin product-sum on the restricted chain [target, c], in log
-    space.  Requires strictly positive interior transitions on that range.
-    """
+    """P(hit ``target`` before absorbing at c), the infinite-horizon limit."""
     c = chain.c
     if not (0 <= target < start <= c):
         raise ValueError(f"need 0 <= target < start <= c; got start={start}, target={target}")
-    if start == c:
-        return 0.0
-    up, down = chain.up, chain.down
-    if (up[target + 1 : c] == 0).any() or (down[target + 1 : c] == 0).any():
-        raise ValueError("ever-hit product form needs nonzero interior transitions")
-    ratios = np.log(down[target + 1 : c]) - np.log(up[target + 1 : c])
-    logr = np.concatenate([[0.0], np.cumsum(ratios)])  # rho_j for j = target..c-1
-    num = logsumexp(logr[start - target :])
-    den = logsumexp(logr)
-    return float(np.exp(num - den))
+    return float(ever_hit_profile(chain, target)[start])

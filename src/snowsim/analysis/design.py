@@ -36,9 +36,10 @@ from snowsim.analysis.chains import (
     BirthDeathChain,
     _EXACT_CELL_LIMIT,
     build_snowflake_chain,
+    ever_hit_profile,
     hitting_profile,
 )
-from snowsim.sampling import _tail_raw
+from snowsim.sampling import _log_choose, _tail_raw
 
 __all__ = [
     "Infeasible",
@@ -123,20 +124,9 @@ def _return_probabilities(chain: BirthDeathChain, target: int, phi: int) -> np.n
     Mirrors hitting_prob_within's budget rule, but produces the whole
     profile at once for the delta scans.
     """
-    c = chain.c
-    if phi * (c - target) <= _EXACT_CELL_LIMIT:
+    if phi * (chain.c - target) <= _EXACT_CELL_LIMIT:
         return hitting_profile(chain, target, phi)
-    up, down = chain.up, chain.down
-    if (up[target + 1 : c] == 0).any() or (down[target + 1 : c] == 0).any():
-        raise ValueError("infinite-horizon fallback needs nonzero interior transitions")
-    ratios = np.log(down[target + 1 : c]) - np.log(up[target + 1 : c])
-    logr = np.concatenate([[0.0], np.cumsum(ratios)])
-    # Suffix log-sum-exps: tail_j = logsumexp(logr[j:]).
-    suffix = np.logaddexp.accumulate(logr[::-1])[::-1]
-    probs = np.ones(c + 1)
-    probs[target:c] = np.exp(suffix - suffix[0])
-    probs[c] = 0.0
-    return probs
+    return ever_hit_profile(chain, target)
 
 
 def find_point_of_no_return(chain: BirthDeathChain, eps: float, phi: int) -> int | Infeasible:
@@ -322,16 +312,10 @@ def early_commit_threshold(n: int, c: int, k: int, start_known: int = 1) -> floa
         raise ValueError(f"correct count c={c} outside [2, {n}]")
     if not 1 <= start_known <= c:
         raise ValueError(f"start_known={start_known} outside [1, {c}]")
-    log_denom = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
     steps = 0.0
     for x in range(start_known, c):
-        if n - x >= k:
-            log_miss = math.lgamma(n - x + 1) - math.lgamma(k + 1) - math.lgamma(n - x - k + 1)
-            miss = math.exp(log_miss - log_denom)  # C(n-x,k)/C(n,k)
-        else:
-            miss = 0.0
-        p_x = ((c - x) / c) * (1.0 - miss)
-        steps += 1.0 / p_x
+        miss = math.exp(_log_choose(n - x, k) - _log_choose(n, k))  # C(n-x,k)/C(n,k)
+        steps += 1.0 / (((c - x) / c) * (1.0 - miss))
     return steps / c
 
 

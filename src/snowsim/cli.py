@@ -484,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="sample size")
     p.add_argument("--a", type=int, help="quorum size (default ceil(alpha*k))")
     p.add_argument("--alpha", type=float, help="quorum fraction")
-    p.add_argument("--beta1", type=int, help="contested acceptance threshold")
-    p.add_argument("--beta2", type=int, help="uncontested acceptance threshold")
+    p.add_argument("--beta1", type=int, help="early-commit threshold for uncontested vertices")
+    p.add_argument("--beta2", type=int, help="acceptance threshold for contested vertices")
     p.add_argument("--rounds", type=int, help="scheduler rounds (default 10*c)")
     p.add_argument("--tx-count", dest="tx_count", type=int, help="workload cap")
     p.add_argument("--tx-interval", dest="tx_interval", type=int, help="rounds between arrivals")

@@ -70,27 +70,23 @@ class ProtocolParams:
     """Protocol constants: sample size, vote threshold, decision threshold.
 
     ``a`` must be a strict majority of ``k`` (floor(k/2) < a <= k) so two
-    colors can never both reach quorum in one sample.  ``m`` is the Slush
-    round budget; the other variants ignore it.
+    colors can never both reach quorum in one sample.
     """
 
     k: int
     a: int
     beta: int = 1
-    m: int = 1
 
     def __post_init__(self) -> None:
         if not self.k // 2 < self.a <= self.k:
             raise ValueError(f"need floor(k/2) < a <= k; got k={self.k}, a={self.a}")
         if self.beta < 1:
             raise ValueError(f"beta={self.beta} must be >= 1")
-        if self.m < 1:
-            raise ValueError(f"m={self.m} must be >= 1")
 
     @classmethod
-    def from_alpha(cls, k: int, alpha: float, beta: int = 1, m: int = 1) -> "ProtocolParams":
+    def from_alpha(cls, k: int, alpha: float, beta: int = 1) -> "ProtocolParams":
         """The canonical fractional form: a = ceil(alpha * k), alpha > 0.5."""
-        return cls(k=k, a=math.ceil(alpha * k), beta=beta, m=m)
+        return cls(k=k, a=math.ceil(alpha * k), beta=beta)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 Two execution paths cover every experiment. The scalar engine drives the
 pure single-node machines from :mod:`snowsim.machines` one query at a
 time and exists to be read and cross-checked. The batch engine runs many
-trials in lockstep on numpy arrays, drawing sample compositions from
-exact hypergeometric counts, and is what the large table and property
-experiments use. Both consume the same configs and adversary strategies.
+trials at once on numpy arrays, drawing sample compositions from exact
+hypergeometric counts (Slush as a jump chain on the red count), and is
+what the large table and property experiments use. Both consume the same
+configs and adversary strategies.
 """
 
 from snowsim.sim.adversaries import Adversary, AdversaryState

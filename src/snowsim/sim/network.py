@@ -9,10 +9,14 @@ Two engines implement the same semantics. The scalar functions
 (:func:`run_slush`, :func:`run_snow`) drive the pure state machines one
 query at a time, modelling response collection mechanically (refusing
 nodes are skipped and replaced by further sampling). The batch functions
-run thousands of trials in lockstep on numpy arrays and draw each
-sample's composition directly from the exact hypergeometric counting
-distribution, which is equivalent because responders never change state
-and co-strategic Byzantine nodes all answer alike in any given round.
+run thousands of trials at once on numpy arrays. :func:`run_snow_batch`
+steps every trial round by round and draws each sample's composition
+directly from the exact hypergeometric counting distribution, which is
+equivalent because responders never change state and co-strategic
+Byzantine nodes all answer alike in any given round.
+:func:`run_slush_batch` needs no per-node state at all: the red count is
+the whole state of a Slush network, a birth-death chain, so it draws only
+the chain's moves and the geometric number of rounds between them.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from snowsim.analysis.chains import build_slush_chain
 from snowsim.machines import (
     Color,
     ProtocolParams,
@@ -35,13 +40,7 @@ from snowsim.sim.adversaries import Adversary, AdversaryState
 
 @dataclass(frozen=True, kw_only=True)
 class NetworkConfig:
-    """One simulated network: sizes, protocol knobs, adversary, seed.
-
-    ``adversary_after_sample`` switches the adversary's turn to after the
-    querier draws its sample. The built-in strategies answer by counts,
-    not identities, so both orders produce the same distribution; the
-    flag exists so either scheduling convention can be stated explicitly.
-    """
+    """One simulated network: sizes, protocol knobs, adversary, seed."""
 
     n: int
     b: int = 0
@@ -49,7 +48,6 @@ class NetworkConfig:
     phi: int
     adversary: Adversary = Adversary.NONE
     seed: int = 0
-    adversary_after_sample: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -285,12 +283,12 @@ def monte_carlo(experiment: Callable[[Rng], float], trials: int, base_seed: int)
 
 
 # ---------------------------------------------------------------------------
-# lockstep batch engines
+# batch engines
 
 
 @dataclass(frozen=True)
 class SlushBatch:
-    """Per-trial results of lockstep non-deciding runs.
+    """Per-trial results of batched non-deciding runs.
 
     ``all_red`` is only meaningful where ``converged`` is true.
     """
@@ -328,43 +326,44 @@ class SnowBatch:
 
 
 def run_slush_batch(cfg: NetworkConfig, initial_reds: int, trials: int) -> SlushBatch:
-    """Lockstep trials of the non-deciding protocol until unanimity."""
+    """Trials of the non-deciding protocol as a jump chain on the red count.
+
+    The scheduled node is red with probability i/c and samples the other
+    c - 1 nodes, so ``build_slush_chain(c, k, a, population=c - 1)`` gives
+    the exact per-round up and down probabilities. Each trial waits a
+    geometric number of rounds for its next move, then steps up or down in
+    proportion to them. A trial whose next move would come after the budget,
+    or that sits in a state it can never leave, ends at ``phi`` unconverged.
+    """
     if cfg.b != 0:
         raise ValueError("this protocol assumes every node is correct")
     if trials < 1:
         raise ValueError("need at least one trial")
     if not 0 <= initial_reds <= cfg.c:
         raise ValueError("initial red count out of range")
-    c, k, a = cfg.c, cfg.params.k, cfg.params.a
+    c, phi = cfg.c, cfg.phi
+    chain = build_slush_chain(c, cfg.params.k, cfg.params.a, population=c - 1)
+    move = chain.up + chain.down
     gen = Rng(cfg.seed).generator
-    T = trials
-    rows = np.arange(T)
-    col = np.zeros((T, c), dtype=np.int8)
-    col[:, :initial_reds] = 1
-    red_count = np.full(T, initial_reds, dtype=np.int64)
-    rounds = np.full(T, cfg.phi, dtype=np.int64)
-    messages = np.zeros(T, dtype=np.int64)
-    done = (red_count == 0) | (red_count == c)
-    rounds[done] = 0
-    for r in range(1, cfg.phi + 1):
-        if done.all():
-            break
-        u = gen.integers(0, c, size=T)
-        ucol = col[rows, u]
-        act = ~done
-        r_excl = red_count - ucol
-        reds = gen.hypergeometric(r_excl, c - 1 - r_excl, k, size=T)
-        win_r = act & (reds >= a)
-        win_b = act & (k - reds >= a)
-        newcol = np.where(win_r, 1, np.where(win_b, 0, ucol)).astype(np.int8)
-        col[rows, u] = newcol
-        red_count += newcol.astype(np.int64) - ucol
-        messages += k * act
-        now = act & ((red_count == 0) | (red_count == c))
-        rounds[now] = r
-        done |= now
+    red = np.full(trials, initial_reds, dtype=np.int64)
+    rounds = np.zeros(trials, dtype=np.int64)
+    live = np.flatnonzero((0 < red) & (red < c))
+    while live.size:
+        p = move[red[live]]
+        # p = 0 (a frozen state) is clipped only to keep geometric defined.
+        # Compare with the budget left before adding: geometric(p) saturates
+        # at the int64 maximum for p below about 1e-19.
+        wait = gen.geometric(np.clip(p, 1e-300, 1.0))
+        stuck = (p == 0) | (wait > phi - rounds[live])
+        rounds[live[stuck]] = phi
+        live, wait = live[~stuck], wait[~stuck]
+        i = red[live]
+        rounds[live] += wait
+        red[live] = i + np.where(gen.random(live.size) * move[i] < chain.up[i], 1, -1)
+        live = live[(red[live] > 0) & (red[live] < c)]
     return SlushBatch(
-        c=c, rounds=rounds, converged=done, all_red=red_count == c, messages=messages
+        c=c, rounds=rounds, converged=(red == 0) | (red == c), all_red=red == c,
+        messages=cfg.params.k * rounds,
     )
 
 

@@ -240,6 +240,27 @@ class TestHitting:
                 absorption_probability(ch, start), rel=1e-10
             )
 
+    def test_ever_hit_with_zero_transitions_matches_dense_oracle(self):
+        # k=3, a=3 at b=0: up(1), up(2), down(28) and down(29) are 0, so the
+        # product form is degenerate and the banded solve takes over.
+        ch = build_snowflake_chain(30, 0, 3, 3)
+        assert ch.down[28] == 0.0 and ch.down[29] == 0.0
+        P = dense_matrix(ch)
+        transient = list(range(11, 30))
+        Q = P[np.ix_(transient, transient)]
+        h = np.linalg.solve(np.eye(len(transient)) - Q, P[transient, 10])
+        for start in (11, 20, 27, 28, 29):
+            assert ever_hit_probability(ch, start, 10) == pytest.approx(
+                h[start - 11], abs=1e-12
+            ), start
+        assert ever_hit_probability(ch, 28, 10) == 0.0
+
+    def test_blocked_down_step_beyond_exact_budget_is_zero(self):
+        # Past the exact-iteration budget the ever-hit limit answers; from
+        # 1999 a state that can never step down blocks every path to 1001.
+        ch = build_snowflake_chain(2000, 0, 3, 3)
+        assert hitting_prob_within(ch, 1999, 1001, 400_000) == 0.0
+
     def test_argument_validation(self):
         ch = build_slush_chain(20, 3, 2)
         with pytest.raises(ValueError):

@@ -219,6 +219,13 @@ class TestDesign:
         assert payload["beta"] >= 1
         assert payload["c1_prob"] <= 1e-6 / 2 and payload["c2_prob"] <= 1e-6
 
+    def test_blocked_down_steps_do_not_abort_the_search(self, capsys):
+        # At b=0 and a=k the states next to unanimity can never step down;
+        # the infinite-horizon return probability there is 0, not an error.
+        rc = main(["design", "--n", "2000", "--b", "0", "--eps", "1e-9", "--phi", "400000"])
+        assert rc in (EXIT_OK, EXIT_INFEASIBLE)
+        json.loads(capsys.readouterr().out)
+
     def test_impossible_split_exits_one_with_reason(self, tmp_path, capsys):
         rc = main(
             ["design", "--n", "100", "--b", "49", "--eps", "1e-6",
@@ -270,3 +277,9 @@ class TestExitCodes:
 
     def test_help_exits_clean(self):
         assert main(["--help"]) == EXIT_OK
+
+    def test_avalanche_help_names_each_beta(self, capsys):
+        assert main(["avalanche-run", "--help"]) == EXIT_OK
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--beta1 BETA1 early-commit threshold for uncontested vertices" in text
+        assert "--beta2 BETA2 acceptance threshold for contested vertices" in text
