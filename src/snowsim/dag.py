@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 from .sampling import Rng
 
@@ -134,16 +134,35 @@ class DagState:
     The genesis vertex exists from birth with a fixed chit of 1, so it is
     always confident, always preferred, and always an eligible parent of
     last resort. Its own id doubles as the first spendable output.
+
+    Work is bounded by the unsettled part of the replica. A vertex is
+    *settled* once it is accepted, alone in its conflict set and all its
+    parents are settled; nothing about it can change again until another
+    spend of its output arrives, which unsettles it and its settled
+    progeny. Walks stop at settled vertices. The query results that reach
+    settled vertices are logged with the settled vertices where their walk
+    stopped, and are applied to the settled vertices' counters and
+    confidences only when those are read (``confidence``,
+    ``conflict_sets``, ``export_json_lines``). Strong preference is
+    remembered per vertex until some conflict set's preference flips.
     """
 
     def __init__(self, genesis_data: bytes = b"") -> None:
         self.vertices: dict[str, Vertex] = {}
-        self.conflict_sets: dict[str, ConflictSet] = {}
+        self._sets: dict[str, ConflictSet] = {}
         self.queried: set[str] = set()
-        self.confidence_cache: dict[str, int] = {}
+        self._confidence: dict[str, int] = {}
         self.utxo_index: dict[str, str] = {}
         self.children: dict[str, list[str]] = {}
         self.accepted: set[str] = set()
+        # Every acceptance in the order it happened, genesis first.
+        self.accept_log: list[str] = []
+        self.settled: set[str] = set()
+        self._unsettled: dict[str, None] = {}  # kept in insertion order
+        self._settled_tips: set[str] = set()  # settled, with no settled child
+        # (settled vertices where the walk stopped, success, clock) per query
+        self._deferred: list[tuple[tuple[str, ...], bool, int]] = []
+        self._strong: dict[str, bool] = {}
         self.minted: set[str] = set()
         self.clock: int = 0
         self._seq: dict[str, int] = {}
@@ -154,7 +173,13 @@ class DagState:
         self._nop_checked: dict[str, int] = {}
         self._nop_seq: dict[str, int] = {}
         self._admit(Vertex(GENESIS_ID, genesis_data, (), _ORIGIN_KEY, chit=1))
-        self.accepted.add(GENESIS_ID)
+        self._accept(GENESIS_ID)
+
+    @property
+    def conflict_sets(self) -> dict[str, ConflictSet]:
+        """Every conflict set by its output, settled counters up to date."""
+        self._apply_deferred()
+        return self._sets
 
     # ------------------------------------------------------------------
     # insertion
@@ -166,12 +191,15 @@ class DagState:
         self.children[v.id] = []
         for p in v.parents:
             self.children[p].append(v.id)
-        self.confidence_cache[v.id] = v.chit
+        self._confidence[v.id] = v.chit
         self._last_progress[v.id] = self.clock
-        cs = self.conflict_sets.get(v.conflict_key)
+        self._unsettled[v.id] = None
+        cs = self._sets.get(v.conflict_key)
         if cs is None:
-            self.conflict_sets[v.conflict_key] = ConflictSet([v.id], pref=v.id, last=v.id)
+            self._sets[v.conflict_key] = ConflictSet([v.id], pref=v.id, last=v.id)
         else:
+            if cs.members[0] in self.settled:  # settled means alone in its set
+                self._unsettle(cs.members[0])
             cs.members.append(v.id)
         self._index_utxo(v.conflict_key)
 
@@ -217,51 +245,132 @@ class DagState:
         return ids
 
     # ------------------------------------------------------------------
-    # confidence and preference
+    # walks and the settled cut
 
-    def reflexive_ancestors(self, tid: str) -> list[str]:
-        """All vertices reachable through parent edges, ``tid`` included,
-        ordered oldest-first by insertion."""
-        seen = {tid}
-        stack = [tid]
+    def _climb(self, starts: Iterable[str], stop: Container[str]) -> set[str]:
+        # starts plus every ancestor reachable without entering stop
+        seen = set(starts)
+        stack = list(seen)
         while stack:
             for p in self.vertices[stack.pop()].parents:
-                if p not in seen:
+                if p not in seen and p not in stop:
                     seen.add(p)
                     stack.append(p)
-        return sorted(seen, key=self._seq.__getitem__)
+        return seen
 
-    def confidence(self, tid: str) -> int:
-        """Chits collected across the reflexive progeny of ``tid``."""
-        return self.confidence_cache[tid]
+    def reflexive_ancestors(self, tid: str, stop: Container[str] = ()) -> list[str]:
+        """``tid`` and every ancestor reachable from it through parent edges
+        without entering ``stop``, ordered oldest-first by insertion.
 
-    def is_preferred(self, tid: str) -> bool:
-        v = self.vertices[tid]
-        return self.conflict_sets[v.conflict_key].pref == tid
+        The default empty ``stop`` gives the whole reflexive ancestry.
+        Ancestors of settled vertices are settled, so with ``stop`` the
+        settled set no unsettled ancestor hides behind the cut; with
+        another replica's vertex table it gives what that replica lacks.
+        """
+        return sorted(self._climb((tid,), stop), key=self._seq.__getitem__)
 
-    def is_strongly_preferred(self, tid: str) -> bool:
-        # Walk the ancestry with an early exit; order does not matter here.
-        seen = {tid}
+    def _accept(self, tid: str) -> None:
+        self.accepted.add(tid)
+        self.accept_log.append(tid)
         stack = [tid]
         while stack:
             t = stack.pop()
             v = self.vertices[t]
-            if self.conflict_sets[v.conflict_key].pref != t:
-                return False
-            for p in v.parents:
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-        return True
+            if (
+                t in self._unsettled
+                and t in self.accepted
+                and len(self._sets[v.conflict_key].members) == 1
+                and all(p in self.settled for p in v.parents)
+            ):
+                del self._unsettled[t]
+                self.settled.add(t)
+                self._settled_tips.add(t)
+                self._settled_tips.difference_update(v.parents)
+                self._strong.pop(t, None)
+                stack.extend(self.children[t])
 
-    def _strongly_preferred_all(self) -> dict[str, bool]:
-        # One pass in insertion order; parents always precede children.
-        out: dict[str, bool] = {}
-        for vid in sorted(self.vertices, key=self._seq.__getitem__):
-            v = self.vertices[vid]
-            own = self.conflict_sets[v.conflict_key].pref == vid
-            out[vid] = own and all(out[p] for p in v.parents)
-        return out
+    def _unsettle(self, root: str) -> None:
+        # A second spend of a settled vertex's output: it and its settled
+        # progeny become ordinary vertices again, with exact counters.
+        self._apply_deferred()
+        gone = {root}
+        stack = [root]
+        while stack:
+            for ch in self.children[stack.pop()]:
+                if ch in self.settled and ch not in gone:
+                    gone.add(ch)
+                    stack.append(ch)
+        self.settled -= gone
+        self._unsettled = dict.fromkeys(sorted([*self._unsettled, *gone], key=self._seq.__getitem__))
+        self._settled_tips = {
+            s for s in self.settled if not any(ch in self.settled for ch in self.children[s])
+        }
+
+    def _apply_deferred(self) -> None:
+        # Replay each logged query result on the settled ancestry it
+        # reached. A settled vertex is alone in its set and is the set's
+        # preferred and last member, so only counter and confidence move.
+        for edge, success, clock in self._deferred:
+            for s in self._climb(edge, ()):
+                cs = self._sets[self.vertices[s].conflict_key]
+                if success:
+                    self._confidence[s] += 1
+                    self._last_progress[s] = clock
+                    cs.cnt += 1
+                else:
+                    cs.cnt = 0
+        self._deferred.clear()
+
+    # ------------------------------------------------------------------
+    # confidence and preference
+
+    def confidence(self, tid: str) -> int:
+        """Chits collected across the reflexive progeny of ``tid``."""
+        if tid not in self._unsettled:
+            self._apply_deferred()
+        return self._confidence[tid]
+
+    def is_preferred(self, tid: str) -> bool:
+        v = self.vertices[tid]
+        return self._sets[v.conflict_key].pref == tid
+
+    def is_contested(self, tid: str) -> bool:
+        """True when another vertex spends the same output as ``tid``."""
+        return len(self._sets[self.vertices[tid].conflict_key].members) > 1
+
+    def is_strongly_preferred(self, tid: str) -> bool:
+        """True when ``tid`` and all its ancestors are preferred in their
+        conflict sets. Settled vertices always are; other answers are kept
+        until some preference flips."""
+        if tid in self.settled:
+            return True
+        known = self._strong
+        got = known.get(tid)
+        if got is not None:
+            return got
+        # Depth first with all()'s short circuit over each parent list; a
+        # vertex waits on the stack while an unknown parent is resolved.
+        todo = [tid]
+        while todo:
+            t = todo[-1]
+            v = self.vertices[t]
+            answer: Optional[bool] = self._sets[v.conflict_key].pref == t
+            if answer:
+                for p in v.parents:
+                    if p in self.settled:
+                        continue
+                    got = known.get(p)
+                    if got is None:
+                        todo.append(p)
+                        answer = None
+                        break
+                    if not got:
+                        answer = False
+                        break
+            if answer is not None:
+                known[t] = answer
+                todo.pop()
+        return known[tid]
 
     def on_query(self, v: Vertex) -> int:
         """Answer a peer's query: insert if new, vote on strong preference."""
@@ -276,7 +385,8 @@ class DagState:
 
         At quorum the vertex earns its chit and every reflexive ancestor's
         conflict set updates preference and its consecutive counter; below
-        quorum the chit stays 0 forever and those counters reset.
+        quorum the chit stays 0 forever and those counters reset. Settled
+        ancestors receive the outcome when they are next read.
         """
         if tid not in self.vertices:
             raise KeyError(tid)
@@ -286,17 +396,25 @@ class DagState:
         self.queried.add(tid)
         v.queried = True
         self.clock += 1
-        ancestors = self.reflexive_ancestors(tid)
-        if yes_votes >= params.a:
+        if tid in self.settled:
+            ancestors, edge = [], {tid}
+        else:
+            ancestors = self.reflexive_ancestors(tid, self.settled)
+            edge = {p for a in ancestors for p in self.vertices[a].parents if p in self.settled}
+        success = yes_votes >= params.a
+        if edge:
+            self._deferred.append((tuple(edge), success, self.clock))
+        if success:
             v.chit = 1
             for aid in ancestors:
-                self.confidence_cache[aid] += 1
+                self._confidence[aid] += 1
                 self._last_progress[aid] = self.clock
             for aid in ancestors:
                 key = self.vertices[aid].conflict_key
-                cs = self.conflict_sets[key]
-                if self.confidence_cache[aid] > self.confidence_cache[cs.pref]:
+                cs = self._sets[key]
+                if self._confidence[aid] > self._confidence[cs.pref]:
                     cs.pref = aid
+                    self._strong.clear()
                     self._index_utxo(key)
                 if aid != cs.last:
                     cs.last = aid
@@ -305,7 +423,7 @@ class DagState:
                     cs.cnt += 1
         else:
             for aid in ancestors:
-                self.conflict_sets[self.vertices[aid].conflict_key].cnt = 0
+                self._sets[self.vertices[aid].conflict_key].cnt = 0
 
     def advance_clock(self, rounds: int = 1) -> None:
         """Let scheduler rounds pass without any query resolving."""
@@ -349,10 +467,10 @@ class DagState:
                 memo[t] = True
                 continue
             v = self.vertices[t]
-            cs = self.conflict_sets[v.conflict_key]
+            cs = self._sets[v.conflict_key]
             if cs.cnt >= beta2 and cs.last == t:
                 memo[t] = True
-                self.accepted.add(t)
+                self._accept(t)
                 continue
             if not expanded:
                 stack.append((t, True))
@@ -367,8 +485,28 @@ class DagState:
                 )
                 memo[t] = ok
                 if ok:
-                    self.accepted.add(t)
+                    self._accept(t)
         return memo[tid]
+
+    def accept_ancestry(self, tid: str, beta1: int, beta2: int) -> None:
+        """Apply the commitment predicate to ``tid`` and all its ancestors.
+
+        The same outcome as ``is_accepted`` on each unaccepted reflexive
+        ancestor in turn, in one oldest-first pass over the unsettled ones:
+        by the time a vertex is judged its parents have been, so the
+        accepted set itself serves as the memo.
+        """
+        for t in self.reflexive_ancestors(tid, self.settled):
+            if t in self.accepted:
+                continue
+            v = self.vertices[t]
+            cs = self._sets[v.conflict_key]
+            if (cs.cnt >= beta2 and cs.last == t) or (
+                len(cs.members) == 1
+                and cs.cnt >= beta1
+                and all(p in self.accepted for p in v.parents)
+            ):
+                self._accept(t)
 
     # ------------------------------------------------------------------
     # growth
@@ -381,15 +519,21 @@ class DagState:
         sits at the frontier and retreats toward genesis when the frontier
         is contested. Genesis itself always qualifies as a last resort.
         Without an rng the newest eligible vertices win, deterministically.
+        Settled vertices are always eligible, so only those without a
+        settled child can sit on the frontier.
         """
         if fanin < 1:
             raise ValueError("parent fan-in must be at least 1")
-        strongly = self._strongly_preferred_all()
-        eligible = {
-            vid for vid, ok in strongly.items() if ok and self.confidence_cache[vid] > 0
-        }
+
+        def eligible(vid: str) -> bool:
+            return vid in self.settled or (
+                self._confidence[vid] > 0 and self.is_strongly_preferred(vid)
+            )
+
         frontier = [
-            vid for vid in eligible if not any(ch in eligible for ch in self.children[vid])
+            vid
+            for vid in (*self._unsettled, *self._settled_tips)
+            if eligible(vid) and not any(eligible(ch) for ch in self.children[vid])
         ]
         frontier.sort(key=self._seq.__getitem__, reverse=True)
         if len(frontier) <= fanin:
@@ -432,7 +576,7 @@ class DagState:
         v = self.vertices[tid]
         if v.conflict_key.startswith("nop:"):
             return None  # filler does not beget filler
-        if len(self.conflict_sets[v.conflict_key].members) != 1:
+        if self.is_contested(tid):
             return None
         if tid in (self._pending_cover() if pending is None else pending):
             return None  # help is already in flight
@@ -442,13 +586,14 @@ class DagState:
         if self.is_accepted(tid, params.beta1, params.beta2):
             self._nop_catchup.discard(tid)
             return None
-        ancestry = [a for a in self.reflexive_ancestors(tid) if a != tid]
+        # Settled ancestors are accepted; only unsettled ones can fail.
+        ancestry = [a for a in self.reflexive_ancestors(tid, self.settled) if a != tid]
         if not all(self.is_accepted(a, params.beta1, params.beta2) for a in ancestry):
             return None
         self._nop_catchup.add(tid)
         # Fall back to a direct edge when the frontier would not cover tid.
         sel = self.parent_selection(params.fanin)
-        if not any(tid in self.reflexive_ancestors(pp) for pp in sel):
+        if not any(tid in self.reflexive_ancestors(pp, self.settled) for pp in sel):
             sel = {tid}
         parents = tuple(sorted(sel, key=self._seq.__getitem__))
         # The sequence number separates repeat helpers for one vertex
@@ -466,7 +611,8 @@ class DagState:
         return self.vertices[nop.id]
 
     def emit_nops(self, params: DagParams) -> list[Vertex]:
-        """One staleness sweep over the whole DAG; returns inserted no-ops.
+        """One staleness sweep over the unsettled vertices; returns inserted
+        no-ops.
 
         Vertices in catch-up mode are rechecked every sweep (cheap, they
         are few). Everything else is throttled: quiet vertices wait out
@@ -476,7 +622,7 @@ class DagState:
         horizon = params.effective_staleness
         pending = self._pending_cover()
         out: list[Vertex] = []
-        for vid in list(self.vertices):
+        for vid in list(self._unsettled):
             if vid in self.accepted or vid in pending:
                 continue
             if vid not in self._nop_catchup:
@@ -489,7 +635,7 @@ class DagState:
             if nop is not None:
                 out.append(nop)
                 pending.update(
-                    a for a in self.reflexive_ancestors(nop.id) if a not in self.accepted
+                    a for a in self.reflexive_ancestors(nop.id, self.settled) if a not in self.accepted
                 )
             elif vid not in self._nop_catchup:
                 self._nop_checked[vid] = self.clock
@@ -501,13 +647,14 @@ class DagState:
     def _index_utxo(self, key: str) -> None:
         # Synthetic keys (genesis, no-ops) are not spendable outputs.
         if key in self.minted or key in self.vertices:
-            self.utxo_index[key] = self.conflict_sets[key].pref
+            self.utxo_index[key] = self._sets[key].pref
 
     def export_json_lines(self) -> list[str]:
         """Serialize every vertex, parents before children, one JSON object
         per line. Stable across runs for identical histories."""
+        self._apply_deferred()
         lines = []
-        for vid in sorted(self.vertices, key=self._seq.__getitem__):
+        for vid in self._order:
             v = self.vertices[vid]
             lines.append(
                 json.dumps(
@@ -516,7 +663,7 @@ class DagState:
                         "parents": list(v.parents),
                         "conflict_key": v.conflict_key,
                         "chit": v.chit,
-                        "confidence": self.confidence_cache[vid],
+                        "confidence": self._confidence[vid],
                     },
                     separators=(",", ":"),
                 )

@@ -14,10 +14,19 @@ spends a newly minted output; optionally every m-th becomes a pair of
 conflicting spends issued at two different nodes. No-op children emitted
 for starved vertices hash identically on every replica, so independent
 emissions converge to a single shared vertex.
+
+The cost of a round follows the unsettled part of the replicas, not
+their history. A delivery walks back only to the vertices the receiver
+already holds. The query's own walk and the acceptance check after it
+stop at settled vertices (accepted, alone in their conflict set, with
+settled parents), as does the no-op sweep; strong preference is cached
+per vertex until some preference flips; and the global tally reads
+each replica's log of new acceptances.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,6 +65,11 @@ class AvalancheConfig:
             raise ValueError("round budget must be positive")
         if self.params.k > self.n - 1:
             raise ValueError("sample size exceeds the rest of the network")
+        if self.params.a > self.c - 1:
+            raise ValueError(
+                f"quorum a={self.params.a} exceeds the {self.c - 1} correct peers a sample "
+                "can hold, so no query could succeed"
+            )
         if self.tx_interval is not None and self.tx_interval < 1:
             raise ValueError("transaction interval must be at least 1 round")
         if self.tx_count is not None and self.tx_count < 0:
@@ -132,10 +146,11 @@ class AvalancheOutcome:
 
 
 def _deliver_ancestry(src: DagState, dst: DagState, tid: str) -> None:
-    # Oldest-first order satisfies parent-before-child on arrival, and
-    # the receiver stores its own copies, never the source's objects.
-    for aid in src.reflexive_ancestors(tid):
-        if aid not in dst.vertices:
+    # Only what the receiver lacks, oldest first, which satisfies
+    # parent-before-child on arrival; the receiver stores its own copies,
+    # never the source's objects.
+    if tid not in dst.vertices:
+        for aid in src.reflexive_ancestors(tid, dst.vertices):
             dst.on_receive_tx(src.vertices[aid])
 
 
@@ -145,9 +160,9 @@ def run_avalanche(cfg: AvalancheConfig) -> AvalancheOutcome:
     p = cfg.params
     gen = Rng(cfg.seed).generator
     dags = [DagState() for _ in range(c)]
-    # Which vertex ids each node has been credited for in the global
-    # tally; genesis is accepted by fiat and never counted.
-    counted: list[set[str]] = [set(d.accepted) for d in dags]
+    # How far into each node's acceptance log the global tally has read;
+    # genesis is accepted by fiat and never counted.
+    counted = [len(d.accept_log) for d in dags]
     issued: list[IssuedTx] = []
     accept_count: dict[str, int] = {}
     accept_rounds: dict[str, int] = {}
@@ -161,19 +176,17 @@ def run_avalanche(cfg: AvalancheConfig) -> AvalancheOutcome:
         # discovered. One acceptance can unblock children waiting on that
         # parent, so chase the wavefront until nothing new commits.
         dag = dags[u]
-        while True:
-            fresh = dag.accepted - counted[u]
-            if not fresh:
-                break
-            for vid in fresh:
-                counted[u].add(vid)
-                got = accept_count.get(vid, 0) + 1
-                accept_count[vid] = got
-                if got == c:
-                    accept_rounds[vid] = r
-                for ch in dag.children[vid]:
-                    if ch not in dag.accepted:
-                        dag.is_accepted(ch, p.beta1, p.beta2)
+        log = dag.accept_log
+        while counted[u] < len(log):
+            vid = log[counted[u]]
+            counted[u] += 1
+            got = accept_count.get(vid, 0) + 1
+            accept_count[vid] = got
+            if got == c:
+                accept_rounds[vid] = r
+            for ch in dag.children[vid]:
+                if ch not in dag.accepted:
+                    dag.is_accepted(ch, p.beta1, p.beta2)
 
     for r in range(1, cfg.rounds + 1):
         if (cfg.tx_count is None or next_index < cfg.tx_count) and (r - 1) % interval == 0:
@@ -211,26 +224,23 @@ def run_avalanche(cfg: AvalancheConfig) -> AvalancheOutcome:
                 yes += dags[v].on_query(vtx)
             messages += k
             dag.record_query_result(tid, yes, p)
-            for aid in dag.reflexive_ancestors(tid):
-                if aid not in dag.accepted:
-                    dag.is_accepted(aid, p.beta1, p.beta2)
+            dag.accept_ancestry(tid, p.beta1, p.beta2)
         nops += len(dag.emit_nops(p))
         tally(u, r)
 
     violations = 0
     for dag in dags:
-        for cs in dag.conflict_sets.values():
-            if sum(m in dag.accepted for m in cs.members) > 1:
-                violations += 1
+        spent = Counter(dag.vertices[vid].conflict_key for vid in dag.accepted)
+        violations += sum(count > 1 for count in spent.values())
     hostages: set[str] = set()
     virtuous = {vid for tx in issued if not tx.rogue for vid in tx.vertex_ids}
     for vid in virtuous - set(accept_rounds):
         for dag in dags:
             if vid not in dag.vertices:
                 continue
-            for a in dag.reflexive_ancestors(vid):
-                contested = len(dag.conflict_sets[dag.vertices[a].conflict_key].members) > 1
-                if a != vid and contested and a not in accept_rounds:
+            # A contested ancestor is never settled nor behind a settled one.
+            for a in dag.reflexive_ancestors(vid, dag.settled):
+                if a != vid and dag.is_contested(a) and a not in accept_rounds:
                     hostages.add(vid)
                     break
             break

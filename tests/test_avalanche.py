@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import pytest
 
-from snowsim.dag import DagParams
+import snowsim.sim.avalanche as avalanche
+from snowsim.dag import DagParams, DagState
 from snowsim.sim import AvalancheConfig, run_avalanche
 
 SMALL = DagParams(k=3, a=3, beta1=3, beta2=6)
@@ -32,6 +33,13 @@ class TestConfig:
             AvalancheConfig(n=10, params=SMALL, rounds=10, tx_interval=0)
         with pytest.raises(ValueError):
             AvalancheConfig(n=10, params=SMALL, rounds=10, rogue_every=1)
+        # k=10 fits n=12, but a=8 yes votes cannot come from c-1=6 peers.
+        with pytest.raises(ValueError, match="quorum"):
+            AvalancheConfig(n=12, b=5, params=DagParams(k=10, a=8, beta1=11, beta2=150), rounds=10)
+
+    def test_quorum_of_every_correct_peer_is_allowed(self):
+        cfg = AvalancheConfig(n=12, b=8, params=SMALL, rounds=10)
+        assert cfg.params.a == cfg.c - 1
 
     def test_default_interval_is_one_sweep(self):
         assert small_cfg().effective_interval == 12
@@ -121,3 +129,35 @@ class TestRogueRuns:
     def test_hostages_only_exist_in_rogue_runs(self):
         out = run_avalanche(small_cfg())
         assert out.hostages == frozenset()
+
+
+class TestSettledFrontier:
+    def test_unsettled_vertices_are_the_recent_tail(self, monkeypatch):
+        # Walks stop at settled vertices, so what a replica may still walk
+        # must be what arrived within about one acceptance latency of the
+        # end, not the history. Counted, not timed.
+        replicas: list[DagState] = []
+
+        class Recorded(DagState):
+            def __init__(self, *args: object) -> None:
+                super().__init__(*args)  # type: ignore[arg-type]
+                replicas.append(self)
+
+        monkeypatch.setattr(avalanche, "DagState", Recorded)
+        interval = 60
+        cfg = AvalancheConfig(
+            n=30, params=DagParams(k=5, a=4, beta1=5, beta2=20),
+            rounds=6000, seed=2, tx_interval=interval,
+        )
+        out = run_avalanche(cfg)
+        latency = max(out.latencies().values())
+        for tx in out.issued:
+            if tx.round <= cfg.rounds - latency:
+                assert set(tx.vertex_ids) <= set(out.accept_rounds), tx
+        issued_at = {vid: tx.round for tx in out.issued for vid in tx.vertex_ids}
+        assert len(replicas) == cfg.c
+        for dag in replicas:
+            unsettled = set(dag.vertices) - dag.settled
+            assert all(issued_at[v] > cfg.rounds - latency for v in unsettled if v in issued_at)
+            assert len(unsettled) <= latency // interval + 2
+            assert len(dag.vertices) > 10 * len(unsettled)

@@ -195,6 +195,13 @@ class TestAvalancheRun:
             assert all(p in seen for p in obj["parents"])
             seen.add(obj["id"])
 
+    def test_unreachable_quorum_is_a_usage_error(self, tmp_path):
+        # Defaults k=10, a=8 with only c-1=6 correct peers to vote.
+        out = tmp_path / "ava"
+        rc = main(["avalanche-run", "--n", "12", "--b", "5", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert not (tmp_path / "ava.jsonl").exists()
+
     def test_trials_fan_out_into_records(self, tmp_path):
         argv = [
             "avalanche-run", "--n", "8", "--k", "2", "--a", "2", "--beta1", "2",

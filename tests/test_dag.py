@@ -3,6 +3,7 @@ structure-level invariants driven by generated histories."""
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -584,3 +585,164 @@ class TestGeneratedHistories:
                 cnt = 0
             cs = dag.conflict_sets["coin"]
             assert (cs.pref, cs.last, cs.cnt) == (pref, last, cnt), idx
+
+
+# ---------------------------------------------------------------------------
+# caches and the settled cut against from-scratch walks
+
+FAST = DagParams(k=1, a=1, beta1=1, beta2=2)
+
+
+def walk_strongly_preferred(dag: DagState, vid: str) -> bool:
+    return all(dag.is_preferred(a) for a in dag.reflexive_ancestors(vid))
+
+
+def walk_settled(dag: DagState) -> set[str]:
+    settled: set[str] = set()
+    for vid in sorted(dag.vertices, key=lambda v: dag._seq[v]):
+        v = dag.vertices[vid]
+        alone = len(dag.conflict_sets[v.conflict_key].members) == 1
+        if vid in dag.accepted and alone and all(p in settled for p in v.parents):
+            settled.add(vid)
+    return settled
+
+
+def walk_parent_selection(dag: DagState, fanin: int) -> set[str]:
+    eligible = {
+        vid for vid in dag.vertices
+        if dag.confidence(vid) > 0 and walk_strongly_preferred(dag, vid)
+    }
+    frontier = [v for v in eligible if not any(ch in eligible for ch in dag.children[v])]
+    return set(sorted(frontier, key=lambda v: dag._seq[v], reverse=True)[:fanin])
+
+
+class ShadowCounters:
+    """Each conflict set's (last, cnt), updated by full-ancestry walks."""
+
+    def __init__(self) -> None:
+        self.state: dict[str, tuple[str, int]] = {}
+
+    def sync_new_sets(self, dag: DagState) -> None:
+        for key, cs in dag.conflict_sets.items():
+            self.state.setdefault(key, (cs.members[0], 0))
+
+    def record(self, dag: DagState, vid: str, success: bool) -> None:
+        self.sync_new_sets(dag)
+        for aid in dag.reflexive_ancestors(vid):
+            key = dag.vertices[aid].conflict_key
+            last, cnt = self.state[key]
+            if not success:
+                self.state[key] = (last, 0)
+            elif aid != last:
+                self.state[key] = (aid, 1)
+            else:
+                self.state[key] = (last, cnt + 1)
+
+
+def assert_caches_exact(dag: DagState, shadow: ShadowCounters) -> None:
+    for vid in dag.vertices:
+        assert dag.is_strongly_preferred(vid) == walk_strongly_preferred(dag, vid), vid
+        assert dag.confidence(vid) == recount_confidence(dag, vid), vid
+    assert dag.parent_selection(2) == walk_parent_selection(dag, 2)
+    assert dag.settled == walk_settled(dag)
+    assert set(dag.vertices) - dag.settled == set(dag._unsettled)
+    assert list(dag._unsettled) == sorted(dag._unsettled, key=lambda v: dag._seq[v])
+    shadow.sync_new_sets(dag)
+    got = {key: (cs.last, cs.cnt) for key, cs in dag.conflict_sets.items()}
+    assert got == shadow.state
+
+
+oracle_ops = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 30), st.booleans()), max_size=45
+)
+
+
+class TestCachesAgainstWalks:
+    @given(ops=oracle_ops)
+    @settings(max_examples=120, deadline=None)
+    def test_caches_match_full_walks_while_vertices_settle(self, ops):
+        # Spends draw from a small minted pool and from earlier vertices,
+        # so outputs are respent after their first spender has settled.
+        dag = DagState()
+        shadow = ShadowCounters()
+        for u in range(2):
+            dag.mint_utxo(f"u{u}")
+        for i, (kind, pick, vote) in enumerate(ops):
+            known = sorted(dag.vertices, key=lambda v: dag._seq[v])
+            target = known[pick % len(known)]
+            if kind <= 2:
+                if kind == 2:
+                    # Grafted under a losing spend when there is one, so
+                    # that losers gather chits and preferences flip.
+                    losers = [v for v in known if not dag.is_preferred(v)] or known
+                    vid = f"g{i}"
+                    dag.on_receive_tx(Vertex(vid, b"", (losers[pick % len(losers)],), f"k{i}"))
+                else:
+                    spend = f"u{pick % 2}" if pick < 12 else known[pick % len(known)]
+                    (vid,) = dag.on_generate_tx(b"tx%d" % i, [spend], FAST)
+                yes = int(dag.is_strongly_preferred(vid)) if kind == 0 else int(vote)
+                dag.record_query_result(vid, yes, FAST)
+                shadow.record(dag, vid, yes >= FAST.a)
+            elif kind == 3:
+                dag.is_accepted(target, FAST.beta1, FAST.beta2)
+            elif kind == 4:
+                # As the runner does after a query, or from anywhere.
+                target = known[-1] if vote else target
+                before = copy.deepcopy(dag)
+                for aid in before.reflexive_ancestors(target):
+                    if aid not in before.accepted:
+                        before.is_accepted(aid, FAST.beta1, FAST.beta2)
+                dag.accept_ancestry(target, FAST.beta1, FAST.beta2)
+                assert dag.accepted == before.accepted
+            else:
+                dag.advance_clock(pick % 4)
+                dag.emit_nops(FAST)
+            assert_caches_exact(dag, shadow)
+
+    def test_respending_a_settled_output_unsettles_its_progeny(self):
+        dag = DagState()
+        shadow = ShadowCounters()
+
+        def query(vid: str, vote: int) -> None:
+            dag.record_query_result(vid, vote, FAST)
+            shadow.record(dag, vid, vote >= FAST.a)
+            assert_caches_exact(dag, shadow)
+
+        dag.mint_utxo("coin")
+        (a,) = dag.on_generate_tx(b"a", ["coin"], FAST)
+        query(a, 1)
+        (b,) = dag.on_generate_tx(b"b", [a], FAST)
+        query(b, 1)
+        assert dag.vertices[b].parents == (a,)
+        dag.accept_ancestry(b, FAST.beta1, FAST.beta2)
+        assert dag.settled == {GENESIS_ID, a, b}
+        # A result reaching only settled vertices is applied when read.
+        (c,) = dag.on_generate_tx(b"c", [b], FAST)
+        query(c, 0)
+        dag.on_receive_tx(Vertex("rival", b"", (GENESIS_ID,), "coin"))
+        assert dag.settled == {GENESIS_ID}
+        assert dag.accepted >= {a, b}
+        assert_caches_exact(dag, shadow)
+        assert dag.is_strongly_preferred(c) and not dag.is_strongly_preferred("rival")
+        # Three chits under the rival outweigh the two under a.
+        query("rival", 1)
+        dag.on_receive_tx(Vertex("r1", b"", ("rival",), "k1"))
+        query("r1", 1)
+        dag.on_receive_tx(Vertex("r2", b"", ("r1",), "k2"))
+        query("r2", 1)
+        assert dag.conflict_sets["coin"].pref == "rival"
+        assert not dag.is_strongly_preferred(a) and not dag.is_strongly_preferred(c)
+
+    def test_settled_vertices_stay_on_the_frontier_until_they_have_a_settled_child(self):
+        dag = DagState()
+        dag.mint_utxo("coin")
+        (a,) = dag.on_generate_tx(b"a", ["coin"], FAST)
+        dag.record_query_result(a, 1, FAST)
+        dag.accept_ancestry(a, FAST.beta1, FAST.beta2)
+        assert a in dag.settled
+        assert dag.parent_selection(2) == {a}
+        (b,) = dag.on_generate_tx(b"b", [a], FAST)
+        # b has no chit yet, so a stays the only eligible frontier vertex.
+        assert dag.parent_selection(2) == {a}
+        dag.record_query_result(b, 1, FAST)
+        assert dag.parent_selection(2) == {b}
