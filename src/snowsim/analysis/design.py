@@ -118,15 +118,26 @@ def phase_shift_index(chain: BirthDeathChain) -> int | Infeasible:
     return max(j, c // 2 + 1)
 
 
-def _return_probabilities(chain: BirthDeathChain, target: int, phi: int) -> np.ndarray:
-    """P(hit target within phi) for every start, exact or infinite-horizon.
+def _no_return_state(
+    chain: BirthDeathChain, eps: float, phi: int
+) -> tuple[int, int, float] | Infeasible:
+    """(start, s_ps, return probability) for the first state above the phase
+    shift ``s_ps`` whose probability of returning to it within ``phi`` is <= eps.
 
-    Mirrors hitting_prob_within's budget rule, but produces the whole
-    profile at once for the delta scans.
+    The probabilities come from one exact profile while iterating ``phi``
+    steps over the states above ``s_ps`` is affordable (hitting_prob_within's
+    budget rule), else from the infinite-horizon limit, which is
+    conservative. Unanimity never returns, so some state always qualifies.
     """
-    if phi * (chain.c - target) <= _EXACT_CELL_LIMIT:
-        return hitting_profile(chain, target, phi)
-    return ever_hit_profile(chain, target)
+    s_ps = phase_shift_index(chain)
+    if isinstance(s_ps, Infeasible):
+        return s_ps
+    if phi * (chain.c - s_ps) <= _EXACT_CELL_LIMIT:
+        probs = hitting_profile(chain, s_ps, phi)
+    else:
+        probs = ever_hit_profile(chain, s_ps)
+    start = s_ps + 1 + int(np.argmax(probs[s_ps + 1 :] <= eps))
+    return start, s_ps, float(probs[start])
 
 
 def find_point_of_no_return(chain: BirthDeathChain, eps: float, phi: int) -> int | Infeasible:
@@ -134,22 +145,17 @@ def find_point_of_no_return(chain: BirthDeathChain, eps: float, phi: int) -> int
 
     The return probability is capped at the horizon ``phi`` (scheduler
     steps); when exact iteration is unaffordable the infinite-horizon limit
-    is used, which is conservative.  Infeasibility (no delta up to the
-    absorbing endpoint works) is a result, not an exception.
+    is used, which is conservative.  Infeasibility (no state is safe from
+    push-back) is a result, not an exception.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps={eps} outside (0, 1]")
     if phi < 1:
         raise ValueError("phi must be >= 1")
-    s_ps = phase_shift_index(chain)
-    if isinstance(s_ps, Infeasible):
-        return s_ps
-    c = chain.c
-    probs = _return_probabilities(chain, s_ps, phi)
-    for delta in range(s_ps + 1 - c // 2, c - c // 2 + 1):
-        if probs[c // 2 + delta] <= eps:
-            return delta
-    return Infeasible(f"no state below unanimity returns to s_ps={s_ps} with prob <= {eps}")
+    found = _no_return_state(chain, eps, phi)
+    if isinstance(found, Infeasible):
+        return found
+    return found[0] - chain.c // 2
 
 
 def run_length_tail(p: float, trials: int, beta: int) -> float:
@@ -335,18 +341,10 @@ def churn_adjusted_delta(
     if c_new < 2:
         return Infeasible("churn leaves fewer than 2 correct nodes")
     chain = build_snowflake_chain(c_new, design.b, design.k, design.a)
-    s_ps = phase_shift_index(chain)
-    if isinstance(s_ps, Infeasible):
-        return s_ps
-    probs = _return_probabilities(chain, s_ps, design.phi)
-    half = c_new // 2
-    for delta in range(s_ps + 1 - half + gamma_in, c_new - half + gamma_in + 1):
-        start = half + delta - gamma_in
-        if start > c_new:
-            break
-        if probs[start] <= design.eps:
-            return delta
-    return Infeasible("no feasible point of no return under the churn bound")
+    found = _no_return_state(chain, design.eps, design.phi)
+    if isinstance(found, Infeasible):
+        return found
+    return found[0] - c_new // 2 + gamma_in
 
 
 def feasibility_search(
@@ -387,38 +385,31 @@ def feasibility_search(
         if not k_try // 2 < a <= k_try:
             last_reason = f"alpha={alpha:.4f} yields no majority threshold at k={k_try}"
             continue
-        chain = build_snowflake_chain(c, b, k_try, a)
-        s_ps = phase_shift_index(chain)
-        if isinstance(s_ps, Infeasible):
-            last_reason = s_ps.reason
+        found = _no_return_state(build_snowflake_chain(c, b, k_try, a), eps, phi)
+        if isinstance(found, Infeasible):
+            last_reason = found.reason
             continue
-        probs = _return_probabilities(chain, s_ps, phi)
-        half = c // 2
-        for delta in range(s_ps + 1 - half, c - half + 1):
-            c1 = float(probs[half + delta])
-            if c1 > eps:
-                continue
-            p_commit = _tail_raw(n, min(n, half + delta - 1 + b), k_try, a)
-            if beta is not None:
-                ok = run_length_tail(p_commit, trials, beta) <= eps
-                beta_found = beta if ok else None
-            else:
-                found = run_length_beta(p_commit, trials, eps)
-                beta_found = None if isinstance(found, Infeasible) else found
-            if beta_found is None:
-                last_reason = f"C2 unsatisfiable at k={k_try}, delta={delta}"
-                break  # larger delta only raises the commit probability
-            return SafetyDesign(
-                n=n,
-                b=b,
-                eps=eps,
-                phi=phi,
-                k=k_try,
-                a=a,
-                beta=beta_found,
-                delta=delta,
-                s_ps=s_ps,
-                c1_prob=c1,
-                c2_prob=run_length_tail(p_commit, trials, beta_found),
-            )
+        start, s_ps, c1 = found
+        p_commit = _tail_raw(n, min(n, start - 1 + b), k_try, a)
+        beta_found = run_length_beta(p_commit, trials, eps) if beta is None else beta
+        if isinstance(beta_found, Infeasible):
+            c2 = math.inf
+        else:
+            c2 = run_length_tail(p_commit, trials, beta_found)
+        if c2 > eps:
+            last_reason = f"C2 unsatisfiable at k={k_try}, delta={start - c // 2}"
+            continue
+        return SafetyDesign(
+            n=n,
+            b=b,
+            eps=eps,
+            phi=phi,
+            k=k_try,
+            a=a,
+            beta=beta_found,
+            delta=start - c // 2,
+            s_ps=s_ps,
+            c1_prob=c1,
+            c2_prob=c2,
+        )
     return Infeasible(last_reason)

@@ -7,10 +7,15 @@ Subcommands
     design          search (k, a, beta) for a target failure probability
     analyze-chain   absorption quantities of the matching birth-death chain
 
+Each setting is stated once, with its parser and help text, in one
+table; every subcommand's flags and every config-file key come from it,
+and ``snowsim <subcommand> --help`` lists the settings a subcommand takes.
 Settings resolve in priority order: command-line flag, then config file,
-then the ``SNOWSIM_SEED`` environment variable (seed only), then built-in
-defaults. The config file is plain ``key = value`` lines with ``#``
-comments; keys mirror the flags one-to-one and unknown keys are errors.
+then the ``SNOWSIM_SEED`` environment variable (the seed only, for the
+subcommands that take one), then built-in defaults. The config file is
+plain ``key = value`` lines with ``#`` comments; its keys are the flag
+names, a subcommand reads only those it takes, and unknown keys are
+errors.
 
 Run commands write ``<out>.csv`` (aggregate rows, versioned header) and
 ``<out>.jsonl`` (one lossless record per trial); without ``--out`` the
@@ -25,9 +30,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from snowsim.analysis.chains import (
     absorption_probability,
@@ -49,6 +54,8 @@ from snowsim.sim import (
     Adversary,
     AvalancheConfig,
     NetworkConfig,
+    SlushBatch,
+    SnowBatch,
     run_avalanche,
     run_slush_batch,
     run_snow_batch,
@@ -60,7 +67,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 # The evaluation's parameters serve as the built-in defaults.
-DEFAULTS: dict[str, object] = {
+DEFAULTS: dict[str, Any] = {
     "n": 2000,
     "b": 0,
     "k": 10,
@@ -71,36 +78,38 @@ DEFAULTS: dict[str, object] = {
 
 ENV_SEED = "SNOWSIM_SEED"
 
-# Every key a config file may carry, with its parser. Flags mirror these
-# names (hyphens for underscores).
-_KEYS: dict[str, type] = {
-    "n": int,
-    "b": int,
-    "c": int,
-    "k": int,
-    "a": int,
-    "alpha": float,
-    "beta": int,
-    "beta1": int,
-    "beta2": int,
-    "phi": int,
-    "rounds": int,
-    "trials": int,
-    "seed": int,
-    "start": int,
-    "population": int,
-    "initial_reds": int,
-    "tx_count": int,
-    "tx_interval": int,
-    "rogue_every": int,
-    "eps": float,
-    "max_k": int,
-    "cells": str,
-    "variant": str,
-    "adversary": str,
-    "protocol": str,
-    "dump_dag": str,
-    "out": str,
+# Every setting, stated once: its parser and its help text. Config-file keys
+# are these names; each subcommand's flags are generated from the entries it
+# takes (``_COMMANDS``), with hyphens for underscores.
+_KEYS: dict[str, tuple[Callable[[str], Any], str]] = {
+    "n": (int, "total nodes"),
+    "b": (int, "byzantine nodes (avalanche-run: vote-withholding; analyze-chain: snowflake only)"),
+    "c": (int, "correct nodes"),
+    "k": (int, "sample size (design: pin it)"),
+    "a": (int, "quorum size (default ceil(alpha*k))"),
+    "alpha": (float, "quorum fraction"),
+    "beta": (int, "decision threshold (design: pin it)"),
+    "beta1": (int, "early-commit threshold for uncontested vertices"),
+    "beta2": (int, "acceptance threshold for contested vertices"),
+    "phi": (int, "round budget per trial (default 100*c in slush-table, 20*beta*c in snow-run), "
+                 "time horizon in rounds in design (default 10000)"),
+    "rounds": (int, "scheduler rounds (default 10*c)"),
+    "trials": (int, "independent trials to run (default 100, avalanche-run 1)"),
+    "seed": (int, f"base RNG seed (default ${ENV_SEED}, else 0)"),
+    "start": (int, "initial red count (default c//2)"),
+    "population": (int, "sampling universe override"),
+    "initial_reds": (int, "red nodes at start (default c//2)"),
+    "tx_count": (int, "workload cap"),
+    "tx_interval": (int, "rounds between arrivals"),
+    "rogue_every": (int, "every m-th tx conflicts"),
+    "eps": (float, "failure probability target (default 1e-6)"),
+    "max_k": (int, "search ceiling for k (default 128)"),
+    "cells": (str, "comma-separated network sizes (default 600,1200,2400)"),
+    "variant": (Variant, "protocol variant: snowflake or snowball (default snowball)"),
+    "adversary": (Adversary, "byzantine strategy: " + ", ".join(adv.value for adv in Adversary)),
+    "protocol": (str, "chain family: slush (default) or snowflake"),
+    "dump_dag": (str, "write replica 0's DAG as JSON lines"),
+    "out": (str, "output path prefix (suffixes added per format)"),
 }
 
 
@@ -124,7 +133,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, object]:
         if key in seen:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         try:
-            seen[key] = _KEYS[key](value)
+            seen[key] = _KEYS[key][0](value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: field {key!r}: {exc}") from exc
     return seen
@@ -137,32 +146,54 @@ def load_config(path: str) -> dict[str, object]:
     return parse_config_text(file.read_text(encoding="utf-8"), source=path)
 
 
-def _setting(args: argparse.Namespace, file_cfg: Mapping[str, object], name: str, default: object) -> object:
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    if name in file_cfg:
-        return file_cfg[name]
-    return default
+def _resolve_settings(
+    keys: Sequence[str], args: argparse.Namespace, file_cfg: Mapping[str, object]
+) -> dict[str, Any]:
+    """The typed settings among ``keys`` that are set: flag, else config file,
+    else (``seed`` only) ``SNOWSIM_SEED``. Callers supply the defaults.
 
-
-def _resolve_seed(args: argparse.Namespace, file_cfg: Mapping[str, object]) -> int:
+    A malformed ``SNOWSIM_SEED`` is rejected even when a flag or the file
+    sets the seed.
+    """
+    settings = {name: file_cfg[name] for name in keys if name in file_cfg}
+    for name in keys:
+        if getattr(args, name) is not None:
+            settings[name] = getattr(args, name)
     env = os.environ.get(ENV_SEED)
-    fallback = 0
-    if env is not None:
+    if "seed" in keys and env is not None:
         try:
-            fallback = int(env)
+            settings.setdefault("seed", int(env))
         except ValueError as exc:
             raise ConfigError(f"environment {ENV_SEED}: {exc}") from exc
-    return int(_setting(args, file_cfg, "seed", fallback))  # type: ignore[arg-type]
+    return settings
 
 
-def _quorum(args: argparse.Namespace, file_cfg: Mapping[str, object], k: int) -> int:
-    a = _setting(args, file_cfg, "a", None)
-    if a is not None:
-        return int(a)  # type: ignore[arg-type]
-    alpha = float(_setting(args, file_cfg, "alpha", DEFAULTS["alpha"]))  # type: ignore[arg-type]
-    return ProtocolParams.from_alpha(k, alpha).a
+def _quorum(cfg: Mapping[str, Any], k: int) -> int:
+    if "a" in cfg:
+        return cfg["a"]
+    return ProtocolParams.from_alpha(k, cfg.get("alpha", DEFAULTS["alpha"])).a
+
+
+def _trial_records(
+    batch: SlushBatch | SnowBatch, violations: Sequence[int], **shared: Any
+) -> list[RunRecord]:
+    """One record per trial of a batch; ``shared`` holds the config fields."""
+    return [
+        RunRecord(
+            **shared, rounds=float(rounds), per_node_iters=float(rounds) / batch.c,
+            violations=int(bad), messages=int(messages),
+        )
+        for rounds, bad, messages in zip(batch.rounds, violations, batch.messages)
+    ]
+
+
+def _aggregate(per_trial: Sequence[RunRecord], stats: Mapping[str, float]) -> RunRecord:
+    """The aggregate row: ``summarize(per_trial)``'s means and totals over the
+    fields the trials share."""
+    return replace(
+        per_trial[0], rounds=stats["mean_rounds"], per_node_iters=stats["mean_per_node_iters"],
+        violations=int(stats["violations"]), messages=int(stats["messages"]),
+    )
 
 
 def _write_reports(
@@ -190,82 +221,67 @@ def _emit_json(out: str | None, payload: Mapping[str, object]) -> None:
 # Subcommands
 
 
-def cmd_slush_table(args: argparse.Namespace, file_cfg: Mapping[str, object]) -> int:
-    cells_raw = str(_setting(args, file_cfg, "cells", "600,1200,2400"))
+def cmd_slush_table(cfg: Mapping[str, Any]) -> int:
+    cells_text = cfg.get("cells", "600,1200,2400")
     try:
-        cells = [int(part) for part in cells_raw.split(",") if part.strip()]
+        cells = [int(part) for part in cells_text.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"field 'cells': {exc}") from exc
     if not cells:
         raise ConfigError("field 'cells': need at least one network size")
-    k = int(_setting(args, file_cfg, "k", DEFAULTS["k"]))  # type: ignore[arg-type]
-    a = _quorum(args, file_cfg, k)
-    trials = int(_setting(args, file_cfg, "trials", 100))  # type: ignore[arg-type]
-    seed = _resolve_seed(args, file_cfg)
-    phi_override = _setting(args, file_cfg, "phi", None)
+    k = cfg.get("k", DEFAULTS["k"])
+    a = _quorum(cfg, k)
+    trials = cfg.get("trials", 100)
+    seed = cfg.get("seed", 0)
 
     aggregate: list[RunRecord] = []
     per_trial: list[RunRecord] = []
     lines = []
     for idx, c in enumerate(cells):
-        phi = int(phi_override) if phi_override is not None else 100 * c  # type: ignore[arg-type]
-        cfg = NetworkConfig(
-            n=c, params=ProtocolParams(k=k, a=a), phi=phi, seed=seed + idx
-        )
-        batch = run_slush_batch(cfg, initial_reds=c // 2, trials=trials)
+        phi = cfg.get("phi", 100 * c)
+        net = NetworkConfig(n=c, params=ProtocolParams(k=k, a=a), phi=phi, seed=seed + idx)
+        batch = run_slush_batch(net, initial_reds=c // 2, trials=trials)
         digest = config_digest(
             {"command": "slush-table", "c": c, "k": k, "a": a, "phi": phi,
              "seed": seed + idx, "trials": trials}
         )
-        cell = [
-            RunRecord(
-                config_hash=digest, n=c, c=c, b=0, k=k, a=a, beta=1,
-                adversary="none", rounds=float(batch.rounds[i]),
-                per_node_iters=float(batch.rounds[i]) / c, violations=0,
-                messages=int(batch.messages[i]),
-            )
-            for i in range(trials)
-        ]
-        stats = summarize(cell)
-        aggregate.append(
-            RunRecord(
-                config_hash=digest, n=c, c=c, b=0, k=k, a=a, beta=1,
-                adversary="none", rounds=stats["mean_rounds"],
-                per_node_iters=stats["mean_per_node_iters"],
-                violations=0, messages=int(stats["messages"]),
-            )
+        cell = _trial_records(
+            batch, [0] * trials,
+            config_hash=digest, n=c, c=c, b=0, k=k, a=a, beta=1, adversary="none",
         )
+        stats = summarize(cell)
+        aggregate.append(_aggregate(cell, stats))
         per_trial.extend(cell)
         lines.append(
             f"c={c} trials={trials} per_node_iters mean={stats['mean_per_node_iters']:.4f} "
             f"stddev={stats['stddev_per_node_iters']:.4f}"
         )
     print("\n".join(lines))
-    _write_reports(getattr(args, "out", None), aggregate, per_trial)
+    _write_reports(cfg.get("out"), aggregate, per_trial)
     return EXIT_OK
 
 
-def cmd_snow_run(args: argparse.Namespace, file_cfg: Mapping[str, object]) -> int:
-    n = int(_setting(args, file_cfg, "n", DEFAULTS["n"]))  # type: ignore[arg-type]
-    b = int(_setting(args, file_cfg, "b", DEFAULTS["b"]))  # type: ignore[arg-type]
-    k = int(_setting(args, file_cfg, "k", DEFAULTS["k"]))  # type: ignore[arg-type]
-    a = _quorum(args, file_cfg, k)
-    beta = int(_setting(args, file_cfg, "beta", DEFAULTS["beta1"]))  # type: ignore[arg-type]
+def cmd_snow_run(cfg: Mapping[str, Any]) -> int:
+    n = cfg.get("n", DEFAULTS["n"])
+    b = cfg.get("b", DEFAULTS["b"])
+    k = cfg.get("k", DEFAULTS["k"])
+    a = _quorum(cfg, k)
+    beta = cfg.get("beta", DEFAULTS["beta1"])
     c = n - b
-    phi = int(_setting(args, file_cfg, "phi", 20 * beta * max(c, 1)))  # type: ignore[arg-type]
-    trials = int(_setting(args, file_cfg, "trials", 100))  # type: ignore[arg-type]
-    seed = _resolve_seed(args, file_cfg)
-    variant = Variant(str(_setting(args, file_cfg, "variant", "snowball")))
-    adversary = Adversary(str(_setting(args, file_cfg, "adversary", "none")))
-    initial_reds = int(_setting(args, file_cfg, "initial_reds", c // 2))  # type: ignore[arg-type]
+    phi = cfg.get("phi", 20 * beta * max(c, 1))
+    trials = cfg.get("trials", 100)
+    seed = cfg.get("seed", 0)
+    variant = cfg.get("variant", Variant.SNOWBALL)
+    adversary = cfg.get("adversary", Adversary.NONE)
+    initial_reds = cfg.get("initial_reds", c // 2)
     if variant is Variant.SLUSH:
         raise ConfigError("field 'variant': snow-run covers the deciding variants")
 
-    cfg = NetworkConfig(
+    net = NetworkConfig(
         n=n, b=b, params=ProtocolParams(k=k, a=a, beta=beta), phi=phi,
         adversary=adversary, seed=seed,
     )
-    batch = run_snow_batch(cfg, variant, initial_reds, trials)
+    batch = run_snow_batch(net, variant, initial_reds, trials)
     if bool(batch.early_decision.any()):
         print("internal error: a node decided before its run threshold", file=sys.stderr)
         return EXIT_INTERNAL
@@ -275,48 +291,36 @@ def cmd_snow_run(args: argparse.Namespace, file_cfg: Mapping[str, object]) -> in
          "a": a, "beta": beta, "phi": phi, "adversary": adversary.value,
          "initial_reds": initial_reds, "seed": seed, "trials": trials}
     )
-    per_trial = [
-        RunRecord(
-            config_hash=digest, n=n, c=c, b=b, k=k, a=a, beta=beta,
-            adversary=adversary.value, rounds=float(batch.rounds[i]),
-            per_node_iters=float(batch.rounds[i]) / c,
-            violations=int(batch.safety_violation[i]),
-            messages=int(batch.messages[i]),
-        )
-        for i in range(trials)
-    ]
-    stats = summarize(per_trial)
-    aggregate = RunRecord(
-        config_hash=digest, n=n, c=c, b=b, k=k, a=a, beta=beta,
-        adversary=adversary.value, rounds=stats["mean_rounds"],
-        per_node_iters=stats["mean_per_node_iters"],
-        violations=int(stats["violations"]), messages=int(stats["messages"]),
+    per_trial = _trial_records(
+        batch, batch.safety_violation,
+        config_hash=digest, n=n, c=c, b=b, k=k, a=a, beta=beta, adversary=adversary.value,
     )
+    aggregate = _aggregate(per_trial, summarize(per_trial))
     decided = int(batch.all_decided.sum())
     print(
         f"{variant.value} n={n} b={b} adversary={adversary.value}: "
-        f"decided {decided}/{trials}, violations {int(stats['violations'])}, "
-        f"mean rounds {stats['mean_rounds']:.1f}"
+        f"decided {decided}/{trials}, violations {aggregate.violations}, "
+        f"mean rounds {aggregate.rounds:.1f}"
     )
-    _write_reports(getattr(args, "out", None), [aggregate], per_trial)
+    _write_reports(cfg.get("out"), [aggregate], per_trial)
     return EXIT_OK
 
 
-def cmd_avalanche_run(args: argparse.Namespace, file_cfg: Mapping[str, object]) -> int:
-    n = int(_setting(args, file_cfg, "n", DEFAULTS["n"]))  # type: ignore[arg-type]
-    b = int(_setting(args, file_cfg, "b", DEFAULTS["b"]))  # type: ignore[arg-type]
-    k = int(_setting(args, file_cfg, "k", DEFAULTS["k"]))  # type: ignore[arg-type]
-    a = _quorum(args, file_cfg, k)
-    beta1 = int(_setting(args, file_cfg, "beta1", DEFAULTS["beta1"]))  # type: ignore[arg-type]
-    beta2 = int(_setting(args, file_cfg, "beta2", DEFAULTS["beta2"]))  # type: ignore[arg-type]
+def cmd_avalanche_run(cfg: Mapping[str, Any]) -> int:
+    n = cfg.get("n", DEFAULTS["n"])
+    b = cfg.get("b", DEFAULTS["b"])
+    k = cfg.get("k", DEFAULTS["k"])
+    a = _quorum(cfg, k)
+    beta1 = cfg.get("beta1", DEFAULTS["beta1"])
+    beta2 = cfg.get("beta2", DEFAULTS["beta2"])
     c = n - b
-    rounds = int(_setting(args, file_cfg, "rounds", 10 * max(c, 1)))  # type: ignore[arg-type]
-    trials = int(_setting(args, file_cfg, "trials", 1))  # type: ignore[arg-type]
-    seed = _resolve_seed(args, file_cfg)
-    tx_count = _setting(args, file_cfg, "tx_count", None)
-    tx_interval = _setting(args, file_cfg, "tx_interval", None)
-    rogue_every = _setting(args, file_cfg, "rogue_every", None)
-    dump_dag = _setting(args, file_cfg, "dump_dag", None)
+    rounds = cfg.get("rounds", 10 * max(c, 1))
+    trials = cfg.get("trials", 1)
+    seed = cfg.get("seed", 0)
+    tx_count = cfg.get("tx_count")
+    tx_interval = cfg.get("tx_interval")
+    rogue_every = cfg.get("rogue_every")
+    dump_dag = cfg.get("dump_dag")
     if trials < 1:
         raise ConfigError("field 'trials': need at least one run")
 
@@ -334,13 +338,12 @@ def cmd_avalanche_run(args: argparse.Namespace, file_cfg: Mapping[str, object]) 
     virtuous_total = 0
     hostage_total = 0
     for t in range(trials):
-        cfg = AvalancheConfig(
+        run_cfg = AvalancheConfig(
             n=n, b=b, params=params, rounds=rounds, seed=seed + t,
-            tx_count=tx_count, tx_interval=tx_interval,  # type: ignore[arg-type]
-            rogue_every=rogue_every,  # type: ignore[arg-type]
+            tx_count=tx_count, tx_interval=tx_interval, rogue_every=rogue_every,
             export_replica=0 if dump_dag is not None and t == 0 else None,
         )
-        out = run_avalanche(cfg)
+        out = run_avalanche(run_cfg)
         broken = broken or out.violations > 0
         virtuous = out.virtuous_ids()
         accepted_total += sum(vid in out.accept_rounds for vid in virtuous)
@@ -355,62 +358,47 @@ def cmd_avalanche_run(args: argparse.Namespace, file_cfg: Mapping[str, object]) 
             )
         )
         if t == 0 and dump_dag is not None:
-            Path(str(dump_dag)).write_text(
-                "\n".join(out.dag_export) + "\n", encoding="utf-8"
-            )
-    stats = summarize(per_trial)
-    aggregate = RunRecord(
-        config_hash=digest, n=n, c=c, b=b, k=k, a=a, beta=beta1,
-        adversary=adversary, rounds=stats["mean_rounds"],
-        per_node_iters=stats["mean_per_node_iters"],
-        violations=int(stats["violations"]), messages=int(stats["messages"]),
-    )
+            Path(dump_dag).write_text("\n".join(out.dag_export) + "\n", encoding="utf-8")
+    aggregate = _aggregate(per_trial, summarize(per_trial))
     print(
         f"avalanche n={n} b={b}: accepted {accepted_total}/{virtuous_total} virtuous "
         f"({hostage_total} hostage), messages/accepted/node "
-        f"{stats['mean_per_node_iters']:.2f}"
+        f"{aggregate.per_node_iters:.2f}"
     )
-    _write_reports(getattr(args, "out", None), [aggregate], per_trial)
+    _write_reports(cfg.get("out"), [aggregate], per_trial)
     if broken:
         print("internal error: a replica accepted two conflicting spends", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK
 
 
-def cmd_design(args: argparse.Namespace, file_cfg: Mapping[str, object]) -> int:
-    n = int(_setting(args, file_cfg, "n", DEFAULTS["n"]))  # type: ignore[arg-type]
-    b = int(_setting(args, file_cfg, "b", DEFAULTS["b"]))  # type: ignore[arg-type]
-    eps = float(_setting(args, file_cfg, "eps", 1e-6))  # type: ignore[arg-type]
-    phi = int(_setting(args, file_cfg, "phi", 10_000))  # type: ignore[arg-type]
-    k = _setting(args, file_cfg, "k", None)
-    beta = _setting(args, file_cfg, "beta", None)
-    max_k = int(_setting(args, file_cfg, "max_k", 128))  # type: ignore[arg-type]
-    out = getattr(args, "out", None)
-
+def cmd_design(cfg: Mapping[str, Any]) -> int:
     result = feasibility_search(
-        n, b, eps, phi,
-        k=None if k is None else int(k),  # type: ignore[arg-type]
-        beta=None if beta is None else int(beta),  # type: ignore[arg-type]
-        max_k=max_k,
+        cfg.get("n", DEFAULTS["n"]),
+        cfg.get("b", DEFAULTS["b"]),
+        cfg.get("eps", 1e-6),
+        cfg.get("phi", 10_000),
+        k=cfg.get("k"),
+        beta=cfg.get("beta"),
+        max_k=cfg.get("max_k", 128),
     )
     if isinstance(result, Infeasible):
-        _emit_json(out, {"infeasible": True, "reason": result.reason})
+        _emit_json(cfg.get("out"), {"infeasible": True, "reason": result.reason})
         return EXIT_INFEASIBLE
-    _emit_json(out, {"infeasible": False, **asdict(result)})
+    _emit_json(cfg.get("out"), {"infeasible": False, **asdict(result)})
     return EXIT_OK
 
 
-def cmd_analyze_chain(args: argparse.Namespace, file_cfg: Mapping[str, object]) -> int:
-    protocol = str(_setting(args, file_cfg, "protocol", "slush"))
+def cmd_analyze_chain(cfg: Mapping[str, Any]) -> int:
+    protocol = cfg.get("protocol", "slush")
     if protocol not in ("slush", "snowflake"):
         raise ConfigError(f"field 'protocol': unknown chain family {protocol!r}")
-    b = int(_setting(args, file_cfg, "b", DEFAULTS["b"]))  # type: ignore[arg-type]
-    c = int(_setting(args, file_cfg, "c", int(DEFAULTS["n"]) - b))  # type: ignore[arg-type]
-    k = int(_setting(args, file_cfg, "k", DEFAULTS["k"]))  # type: ignore[arg-type]
-    a = _quorum(args, file_cfg, k)
-    start = int(_setting(args, file_cfg, "start", c // 2))  # type: ignore[arg-type]
-    population = _setting(args, file_cfg, "population", None)
-    population = None if population is None else int(population)  # type: ignore[arg-type]
+    b = cfg.get("b", DEFAULTS["b"])
+    c = cfg.get("c", DEFAULTS["n"] - b)
+    k = cfg.get("k", DEFAULTS["k"])
+    a = _quorum(cfg, k)
+    start = cfg.get("start", c // 2)
+    population = cfg.get("population")
 
     if protocol == "slush":
         if b != 0:
@@ -431,19 +419,40 @@ def cmd_analyze_chain(args: argparse.Namespace, file_cfg: Mapping[str, object]) 
         "p_blue": p_blue,
         "expected_per_node_iterations": expected_absorption_time(chain, start),
     }
-    _emit_json(getattr(args, "out", None), payload)
+    _emit_json(cfg.get("out"), payload)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
+_RUN = ("trials", "seed", "out")
+_QUORUM = ("k", "a", "alpha")
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key = value settings file")
-    sub.add_argument("--seed", type=int, help="base RNG seed")
-    sub.add_argument("--trials", type=int, help="independent trials to run")
-    sub.add_argument("--out", help="output path prefix (suffixes added per format)")
+# Each subcommand: its handler, its help line and the settings it takes.
+_COMMANDS: dict[str, tuple[Callable[[Mapping[str, Any]], int], str, tuple[str, ...]]] = {
+    "slush-table": (
+        cmd_slush_table, "convergence table over network sizes",
+        ("cells", *_QUORUM, "phi", *_RUN),
+    ),
+    "snow-run": (
+        cmd_snow_run, "deciding-protocol batch under an adversary",
+        ("variant", "adversary", "n", "b", *_QUORUM, "beta", "phi", "initial_reds", *_RUN),
+    ),
+    "avalanche-run": (
+        cmd_avalanche_run, "DAG consensus over a replica network",
+        ("n", "b", *_QUORUM, "beta1", "beta2", "rounds", "tx_count", "tx_interval",
+         "rogue_every", "dump_dag", *_RUN),
+    ),
+    "design": (
+        cmd_design, "parameter search for a failure target",
+        ("n", "b", "eps", "phi", "k", "beta", "max_k", "out"),
+    ),
+    "analyze-chain": (
+        cmd_analyze_chain, "absorption quantities of a chain",
+        ("protocol", "c", "b", *_QUORUM, "start", "population", "out"),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,71 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="snowsim", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("slush-table", help="convergence table over network sizes")
-    _add_common(p)
-    p.add_argument("--cells", help="comma-separated network sizes (default 600,1200,2400)")
-    p.add_argument("--k", type=int, help="sample size")
-    p.add_argument("--a", type=int, help="quorum size (default ceil(alpha*k))")
-    p.add_argument("--alpha", type=float, help="quorum fraction")
-    p.add_argument("--phi", type=int, help="round budget per trial (default 100*c)")
-    p.set_defaults(func=cmd_slush_table)
-
-    p = subs.add_parser("snow-run", help="deciding-protocol batch under an adversary")
-    _add_common(p)
-    p.add_argument("--variant", choices=["snowflake", "snowball"], help="protocol variant")
-    p.add_argument(
-        "--adversary", choices=[adv.value for adv in Adversary], help="byzantine strategy"
-    )
-    p.add_argument("--n", type=int, help="total nodes")
-    p.add_argument("--b", type=int, help="byzantine nodes")
-    p.add_argument("--k", type=int, help="sample size")
-    p.add_argument("--a", type=int, help="quorum size (default ceil(alpha*k))")
-    p.add_argument("--alpha", type=float, help="quorum fraction")
-    p.add_argument("--beta", type=int, help="decision threshold")
-    p.add_argument("--phi", type=int, help="round budget (default 20*beta*c)")
-    p.add_argument("--initial-reds", dest="initial_reds", type=int, help="red nodes at start")
-    p.set_defaults(func=cmd_snow_run)
-
-    p = subs.add_parser("avalanche-run", help="DAG consensus over a replica network")
-    _add_common(p)
-    p.add_argument("--n", type=int, help="total nodes")
-    p.add_argument("--b", type=int, help="byzantine (vote-withholding) nodes")
-    p.add_argument("--k", type=int, help="sample size")
-    p.add_argument("--a", type=int, help="quorum size (default ceil(alpha*k))")
-    p.add_argument("--alpha", type=float, help="quorum fraction")
-    p.add_argument("--beta1", type=int, help="early-commit threshold for uncontested vertices")
-    p.add_argument("--beta2", type=int, help="acceptance threshold for contested vertices")
-    p.add_argument("--rounds", type=int, help="scheduler rounds (default 10*c)")
-    p.add_argument("--tx-count", dest="tx_count", type=int, help="workload cap")
-    p.add_argument("--tx-interval", dest="tx_interval", type=int, help="rounds between arrivals")
-    p.add_argument("--rogue-every", dest="rogue_every", type=int, help="every m-th tx conflicts")
-    p.add_argument("--dump-dag", dest="dump_dag", help="write replica 0's DAG as JSON lines")
-    p.set_defaults(func=cmd_avalanche_run)
-
-    p = subs.add_parser("design", help="parameter search for a failure target")
-    _add_common(p)
-    p.add_argument("--n", type=int, help="total nodes")
-    p.add_argument("--b", type=int, help="byzantine nodes")
-    p.add_argument("--eps", type=float, help="failure probability target")
-    p.add_argument("--phi", type=int, help="time horizon in rounds")
-    p.add_argument("--k", type=int, help="pin the sample size")
-    p.add_argument("--beta", type=int, help="pin the decision threshold")
-    p.add_argument("--max-k", dest="max_k", type=int, help="search ceiling for k")
-    p.set_defaults(func=cmd_design)
-
-    p = subs.add_parser("analyze-chain", help="absorption quantities of a chain")
-    _add_common(p)
-    p.add_argument("--protocol", choices=["slush", "snowflake"], help="chain family")
-    p.add_argument("--c", type=int, help="correct nodes")
-    p.add_argument("--b", type=int, help="byzantine pressure (snowflake only)")
-    p.add_argument("--k", type=int, help="sample size")
-    p.add_argument("--a", type=int, help="quorum size (default ceil(alpha*k))")
-    p.add_argument("--alpha", type=float, help="quorum fraction")
-    p.add_argument("--start", type=int, help="initial red count (default c//2)")
-    p.add_argument("--population", type=int, help="sampling universe override")
-    p.set_defaults(func=cmd_analyze_chain)
-
+    for command, (_, summary, keys) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=summary)
+        sub.add_argument("--config", help="key = value settings file")
+        for name in keys:
+            parse, text = _KEYS[name]
+            sub.add_argument("--" + name.replace("_", "-"), dest=name, type=parse, help=text)
     return parser
 
 
@@ -527,7 +477,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         file_cfg = load_config(args.config) if args.config else {}
-        return args.func(args, file_cfg)
+        handler, _, keys = _COMMANDS[args.command]
+        return handler(_resolve_settings(keys, args, file_cfg))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

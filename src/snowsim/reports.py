@@ -20,43 +20,12 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import asdict, dataclass, fields
+from typing import Iterable, Mapping, Sequence, get_type_hints
 
 SCHEMA_VERSION = 1
 
 _COMMENT = f"# snowsim report schema v{SCHEMA_VERSION}"
-
-_COLUMNS = (
-    "config_hash",
-    "n",
-    "c",
-    "b",
-    "k",
-    "a",
-    "beta",
-    "adversary",
-    "rounds",
-    "per_node_iters",
-    "violations",
-    "messages",
-)
-
-_CONVERT: dict[str, type] = {
-    "config_hash": str,
-    "n": int,
-    "c": int,
-    "b": int,
-    "k": int,
-    "a": int,
-    "beta": int,
-    "adversary": str,
-    "rounds": float,
-    "per_node_iters": float,
-    "violations": int,
-    "messages": int,
-}
-
 
 class ReportError(ValueError):
     """Raised when serialized report data does not match the schema."""
@@ -89,6 +58,11 @@ class RunRecord:
             raise ReportError(f"c + b must equal n, got {self.c}+{self.b} != {self.n}")
         if self.violations < 0 or self.messages < 0:
             raise ReportError("counts must be nonnegative")
+
+
+# CSV columns in field order, each parsed back with its field's type.
+_COLUMNS = tuple(field.name for field in fields(RunRecord))
+_CONVERT: dict[str, type] = get_type_hints(RunRecord)
 
 
 def config_digest(values: Mapping[str, object]) -> str:

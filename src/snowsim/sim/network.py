@@ -397,7 +397,6 @@ def run_snow_batch(
     red_count = np.full(T, initial_reds, dtype=np.int64)
     cnt = np.zeros((T, c), dtype=np.int64)
     decided = np.zeros((T, c), dtype=bool)
-    deccol = np.zeros((T, c), dtype=np.int8)
     iters = np.zeros((T, c), dtype=np.int64)
     if snowball:
         d_red = np.zeros((T, c), dtype=np.int64)
@@ -462,7 +461,6 @@ def run_snow_batch(
             cnt_new = np.where(same, cnt_u + 1, np.where(act, 0, cnt_u))
             col_new = np.where(flip, wincol, ucol)
             dec_now = same & (cnt_new >= beta)
-            dcol_now = ucol
         else:
             dr_u = d_red[rows, u] + win_r
             db_u = d_blue[rows, u] + win_b
@@ -477,7 +475,6 @@ def run_snow_batch(
             )
             last_new = np.where(streak_break, wincol, last_u).astype(np.int8)
             dec_now = got & (cnt_new >= beta)
-            dcol_now = last_new
             d_red[rows, u] = dr_u
             d_blue[rows, u] = db_u
             last[rows, u] = last_new
@@ -487,7 +484,6 @@ def run_snow_batch(
         red_count += col_new.astype(np.int64) - ucol
         iters[rows, u] += act
         decided[rows, u] |= dec_now
-        deccol[rows, u] = np.where(dec_now, dcol_now, deccol[rows, u])
         early |= dec_now & (iters[rows, u] < beta)
         dec_count += dec_now
         messages += k * act
@@ -515,8 +511,11 @@ def run_snow_batch(
         rounds[finished] = r
         alive &= ~finished
 
-    red_dec = decided & (deccol == 1)
-    blue_dec = decided & (deccol == 0)
+    # A decided node never queries again, so its decision is still its color
+    # (Snowflake) or the color of its last successful query (Snowball).
+    decision = last if snowball else col
+    red_dec = decided & (decision == 1)
+    blue_dec = decided & (decision == 0)
     return SnowBatch(
         c=c,
         rounds=rounds,

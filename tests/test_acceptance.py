@@ -20,6 +20,7 @@ import time
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import solve_banded
 
 from snowsim.analysis.chains import (
     absorption_probability,
@@ -120,6 +121,30 @@ def test_1_slush_convergence_table():
         assert abs(mean - expected) <= 1.0, f"c={c}: mean {mean:.3f} vs {expected}"
         assert sd <= 2.5, f"c={c}: stddev {sd:.3f} above 2.5"
     assert time.perf_counter() - t0 < 300
+
+
+def test_1_chain_moments_meet_the_table_gates():
+    """test_1's gates without simulation: on the Slush chain a simulated
+    node sees (population c - 1), the absorption time's first two moments
+    from a 50/50 start come from two banded solves, (I - Q) m1 = 1 and
+    (I - Q) m2 = 2 m1 - 1. The per-node sd must be <= 2.5 and the mean
+    within 1.0 of test_1's reference column."""
+    k, a = 10, 8
+    for c, expected in {600: 12.66, 1200: 14.39, 2400: 15.30}.items():
+        i = np.arange(1, c)
+        up = (c - i) / c * stats.hypergeom.sf(a - 1, c - 1, i, k)
+        down = i / c * stats.hypergeom.sf(a - 1, c - 1, c - i, k)
+        eye_minus_q = np.zeros((3, c - 1))
+        eye_minus_q[0, 1:] = -up[:-1]
+        eye_minus_q[1] = up + down
+        eye_minus_q[2, :-1] = -down[1:]
+        m1 = solve_banded((1, 1), eye_minus_q, np.ones(c - 1))
+        m2 = solve_banded((1, 1), eye_minus_q, 2 * m1 - 1)
+        start = c // 2 - 1  # the interior state c/2
+        mean = m1[start] / c
+        sd = math.sqrt(m2[start] - m1[start] ** 2) / c
+        assert sd <= 2.5, f"c={c}: chain stddev {sd:.3f} above 2.5"
+        assert abs(mean - expected) <= 1.0, f"c={c}: chain mean {mean:.3f} vs {expected}"
 
 
 def test_2_tail_probability_anchor():

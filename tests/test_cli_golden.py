@@ -18,7 +18,7 @@ import json
 
 import pytest
 
-from snowsim.cli import _KEYS, ENV_SEED, build_parser, main
+from snowsim.cli import _KEYS, ENV_SEED, EXIT_USAGE, build_parser, main
 
 SNOW = ["--n", "14", "--b", "2", "--k", "3", "--a", "3", "--beta", "4", "--trials", "8"]
 AVA = ["--n", "12", "--k", "3", "--a", "3", "--beta1", "3", "--beta2", "6"]
@@ -201,3 +201,10 @@ def test_every_setting_is_a_flag_of_some_subcommand():
     (subs,) = [act for act in parser._actions if isinstance(act, argparse._SubParsersAction)]
     dests = {act.dest for sub in subs.choices.values() for act in sub._actions}
     assert set(_KEYS) <= dests
+
+
+@pytest.mark.parametrize(
+    "argv", [["design", "--seed", "3"], ["analyze-chain", "--trials", "2"]]
+)
+def test_settings_a_subcommand_never_reads_are_not_its_flags(argv):
+    assert main(argv) == EXIT_USAGE

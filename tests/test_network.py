@@ -8,8 +8,11 @@ them is a meaningful check, not a tautology.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from scipy import linalg, stats
 
 from snowsim.analysis import (
     absorption_probability,
@@ -342,6 +345,38 @@ class TestBatchSnow:
         cfg = NetworkConfig(n=10, params=ProtocolParams(k=3, a=3, beta=3), phi=40_000, seed=2)
         bat = run_snow_batch(cfg, Variant.SNOWFLAKE, 10, 16)
         assert (bat.unanimity_round == 0).all()
+
+
+class TestSnowflakePreDecisionChain:
+    """Until a node decides, Snowflake with no adversary strategy is a
+    birth-death chain on the red count: the Byzantine nodes answer a fixed
+    split, b//2 red and the rest blue, and the querier samples the other
+    n - 1 nodes. With beta out of reach, the first unanimity round is the
+    chain's absorption time. The oracle is built here from scipy's
+    hypergeometric tail and a dense solve, sharing no code with the engine
+    or with ``snowsim.analysis``."""
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_unanimity_time_matches_chain(self, n):
+        # test_6's log-growth leg at its two smallest sizes.
+        k, a, trials = 10, 6, 200
+        b = math.isqrt(n)
+        c = n - b
+        i = np.arange(1, c)
+        up = (c - i) / c * stats.hypergeom.sf(a - 1, n - 1, i + b // 2, k)
+        down = i / c * stats.hypergeom.sf(a - 1, n - 1, c - i + b - b // 2, k)
+        # (I - Q) t = 1 over the interior states; both endpoints pinned.
+        eye_minus_q = np.diag(up + down) - np.diag(up[:-1], 1) - np.diag(down[1:], -1)
+        expected = linalg.solve(eye_minus_q, np.ones(c - 1))[c // 2 - 1] / c
+
+        cfg = NetworkConfig(
+            n=n, b=b, params=ProtocolParams(k=k, a=a, beta=10**9), phi=60 * c, seed=n
+        )
+        batch = run_snow_batch(cfg, Variant.SNOWFLAKE, initial_reds=c // 2, trials=trials)
+        assert bool((batch.unanimity_round >= 0).all())
+        per_node = batch.unanimity_round / c
+        sem = float(per_node.std(ddof=1)) / math.sqrt(trials)
+        assert abs(float(per_node.mean()) - expected) <= 4 * sem
 
 
 class TestMonteCarlo:
