@@ -140,6 +140,13 @@ def _no_return_state(
     return start, s_ps, float(probs[start])
 
 
+def _require_three_correct(c: int) -> None:
+    """A design needs a state strictly between the phase shift, which is
+    at least c//2 + 1, and unanimity c; that takes c >= 3."""
+    if c < 3:
+        raise ValueError(f"a design needs c = n - b >= 3 correct nodes; got c={c}")
+
+
 def find_point_of_no_return(chain: BirthDeathChain, eps: float, phi: int) -> int | Infeasible:
     """Smallest delta with s_{c/2+delta} past s_ps and return probability <= eps.
 
@@ -152,6 +159,7 @@ def find_point_of_no_return(chain: BirthDeathChain, eps: float, phi: int) -> int
         raise ValueError(f"eps={eps} outside (0, 1]")
     if phi < 1:
         raise ValueError("phi must be >= 1")
+    _require_three_correct(chain.c)
     found = _no_return_state(chain, eps, phi)
     if isinstance(found, Infeasible):
         return found
@@ -338,8 +346,8 @@ def churn_adjusted_delta(
     if gamma_in < 0 or gamma_out < 0:
         raise ValueError("churn counts must be non-negative")
     c_new = design.n - design.b + gamma_in - gamma_out
-    if c_new < 2:
-        return Infeasible("churn leaves fewer than 2 correct nodes")
+    if c_new < 3:
+        return Infeasible("churn leaves fewer than 3 correct nodes")
     chain = build_snowflake_chain(c_new, design.b, design.k, design.a)
     found = _no_return_state(chain, design.eps, design.phi)
     if isinstance(found, Infeasible):
@@ -372,6 +380,7 @@ def feasibility_search(
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps={eps} outside (0, 1)")
     c = n - b
+    _require_three_correct(c)
     trials = phi // c
     if trials < 1:
         return Infeasible(f"horizon phi={phi} is shorter than one per-node round at c={c}")

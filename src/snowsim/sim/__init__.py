@@ -3,8 +3,8 @@
 Two execution paths cover every experiment. The scalar engine drives the
 pure single-node machines from :mod:`snowsim.machines` one query at a
 time and exists to be read and cross-checked. The batch engine runs many
-trials at once on numpy arrays, drawing sample compositions from exact
-hypergeometric counts (Slush as a jump chain on the red count), and is
+trials at once on numpy arrays, reading each query's outcome off exact
+three-outcome tables (Slush as a jump chain on the red count), and is
 what the large table and property experiments use. Both consume the same
 configs and adversary strategies.
 """

@@ -10,10 +10,15 @@ Two engines implement the same semantics. The scalar functions
 query at a time, modelling response collection mechanically (refusing
 nodes are skipped and replaced by further sampling). The batch functions
 run thousands of trials at once on numpy arrays. :func:`run_snow_batch`
-steps every trial round by round and draws each sample's composition
-directly from the exact hypergeometric counting distribution, which is
-equivalent because responders never change state and co-strategic
-Byzantine nodes all answer alike in any given round.
+steps every live trial round by round. A query has three outcomes (red
+win, blue win, fail), and their exact probabilities depend only on the red
+count, the querier's color and, for the balance-keeper, its assignment,
+because responders never change state and co-strategic Byzantine nodes
+all answer alike in any given round. So the engine tabulates them once
+per run from the hypergeometric distribution, and each round draws two
+uniforms per live trial (trials with an undecided node): one picks the
+node, the other reads its query's outcome off the tables. Messages are k
+per query.
 :func:`run_slush_batch` needs no per-node state at all: the red count is
 the whole state of a Slush network, a birth-death chain, so it draws only
 the chain's moves and the geometric number of rounds between them.
@@ -21,6 +26,7 @@ the chain's moves and the geometric number of rounds between them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -367,17 +373,77 @@ def run_slush_batch(cfg: NetworkConfig, initial_reds: int, trials: int) -> Slush
     )
 
 
+def _win_probabilities(
+    pop: int, reds: np.ndarray, k: int, a: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """P(red win) and P(red or blue win) of one query, for each entry of ``reds``.
+
+    The query is answered by a uniform k-sample of ``pop`` nodes, ``reds``
+    of which answer red; red wins with at least ``a`` red answers and blue
+    with at most ``k - a``. Hypergeometric pmf terms come from a
+    log-factorial table, so a whole table costs a few numpy operations.
+    """
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(pop + 1)])
+
+    def log_choose(m, s):
+        return log_fact[m] - log_fact[s] - log_fact[np.maximum(m - s, 0)]
+
+    j = np.arange(k + 1)
+    x = reds[:, None]
+    support = (j <= x) & (k - j <= pop - x)
+    log_pmf = log_choose(x, j) + log_choose(pop - x, k - j) - log_choose(pop, k)
+    pmf = np.exp(np.where(support, log_pmf, -np.inf))
+    red = pmf[:, a:].sum(axis=1)
+    return red, red + pmf[:, : k - a + 1].sum(axis=1)
+
+
+def _outcome_tables(cfg: NetworkConfig, initial_reds: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (P(red win), P(red or blue win)) for every query state the
+    configured adversary tells apart, indexed as :func:`run_snow_batch` reads
+    them. ``r_excl`` is the number of red correct nodes other than the querier.
+
+    - ``NONE``, ``REFUSE``: ``r_excl``. The fixed Byzantine split answers
+      with the rest; refusals are replaced by correct-only sampling.
+    - ``BALANCE_KEEPER``: ``assign * c + r_excl``. All Byzantine nodes
+      answer the querier's assignment.
+    - ``MINORITY_PUSH``: ``own_color * (c + 1) + red_count``. All Byzantine
+      nodes push the minority color, the tie coin's two sides weigh one half
+      each, and a push of a color never proposed is a refusal.
+    """
+    c, b, k, a = cfg.c, cfg.b, cfg.params.k, cfg.params.a
+    valid_red, valid_blue = initial_reds > 0, initial_reds < c
+    r_excl = np.arange(c)
+    if cfg.adversary is Adversary.NONE:
+        byz_reds = b // 2 if valid_red and valid_blue else (b if valid_red else 0)
+        return _win_probabilities(cfg.n - 1, r_excl + byz_reds, k, a)
+    if cfg.adversary is Adversary.REFUSE:
+        return _win_probabilities(c - 1, r_excl, k, a)
+    if cfg.adversary is Adversary.BALANCE_KEEPER:
+        return _win_probabilities(cfg.n - 1, np.concatenate([r_excl, r_excl + b]), k, a)
+    red = np.tile(np.arange(c + 1), 2)
+    r_excl = np.clip(red - np.repeat([0, 1], c + 1), 0, c - 1)
+    refused = _win_probabilities(c - 1, r_excl, k, a)
+    push_red = _win_probabilities(cfg.n - 1, r_excl + b, k, a) if valid_red else refused
+    push_blue = _win_probabilities(cfg.n - 1, r_excl, k, a) if valid_blue else refused
+    w = np.where(2 * red < c, 1.0, np.where(2 * red > c, 0.0, 0.5))
+    return w * push_red[0] + (1 - w) * push_blue[0], w * push_red[1] + (1 - w) * push_blue[1]
+
+
 def run_snow_batch(
     cfg: NetworkConfig, variant: Variant, initial_reds: int, trials: int
 ) -> SnowBatch:
     """Lockstep trials of a deciding protocol under the configured adversary.
 
-    Sample compositions come from exact hypergeometric counts: the number
-    of Byzantine nodes in a sample, then the red count among the correct
-    remainder. Byzantine answers join whichever count their strategy
-    dictates. Answers outside the initially proposed value set cannot be
-    given (conflicts are not forgeable) and turn into refusals, replaced
-    by correct-only sampling.
+    A node reads its k-sample only through "at least a red" and "at least
+    a blue", so a query has three outcomes: red win, blue win or fail.
+    :func:`_outcome_tables` gives their exact probabilities for every state
+    the adversary tells apart, once per run. Each round draws one uniform
+    for every live trial's pick and one for its outcome, which is read off
+    the tables. Only trials with an undecided node stay live, and only picks
+    of undecided nodes query: a node is decided exactly when ``cnt >= beta``.
+    Snowball's two confidences are carried as their difference, whose sign,
+    when nonzero, is the node's color. Every query sends k messages, so
+    ``messages`` is k times a trial's queries.
     """
     if variant not in (Variant.SNOWFLAKE, Variant.SNOWBALL):
         raise ValueError("batch snow runs cover the deciding variants only")
@@ -385,145 +451,111 @@ def run_snow_batch(
         raise ValueError("need at least one trial")
     if not 0 <= initial_reds <= cfg.c:
         raise ValueError("initial red count out of range")
-    c, b, k, a, beta = cfg.c, cfg.b, cfg.params.k, cfg.params.a, cfg.params.beta
+    c, k, beta = cfg.c, cfg.params.k, cfg.params.beta
     strategy = cfg.adversary
     snowball = variant is Variant.SNOWBALL
+    p_red, p_any = _outcome_tables(cfg, initial_reds)
     gen = Rng(cfg.seed).generator
-    T = trials
-    rows = np.arange(T)
 
-    col = np.zeros((T, c), dtype=np.int8)
+    # Per-node state, flat: node u of trial t sits at t * c + u.
+    col = np.zeros((trials, c), dtype=np.int8)
     col[:, :initial_reds] = 1
-    red_count = np.full(T, initial_reds, dtype=np.int64)
-    cnt = np.zeros((T, c), dtype=np.int64)
-    decided = np.zeros((T, c), dtype=bool)
-    iters = np.zeros((T, c), dtype=np.int64)
+    col = col.ravel()
+    cnt = np.zeros(trials * c, dtype=np.int64)
+    iters = np.zeros(trials * c, dtype=np.int64)
     if snowball:
-        d_red = np.zeros((T, c), dtype=np.int64)
-        d_blue = np.zeros((T, c), dtype=np.int64)
+        conf = np.zeros(trials * c, dtype=np.int64)  # red minus blue confidence
         last = col.copy()
     if strategy is Adversary.BALANCE_KEEPER:
         assign = col.copy()
-
-    valid_red = initial_reds > 0
-    valid_blue = initial_reds < c
-    restricted = not (valid_red and valid_blue)
-    byz_reds = (b // 2) if not restricted else (b if valid_red else 0)
-
-    dec_count = np.zeros(T, dtype=np.int64)
-    alive = np.ones(T, dtype=bool)
-    rounds = np.full(T, cfg.phi, dtype=np.int64)
-    unanimity = np.where((red_count == 0) | (red_count == c), 0, -1).astype(np.int64)
-    early = np.zeros(T, dtype=bool)
-    messages = np.zeros(T, dtype=np.int64)
+        offside = np.iinfo(np.int64).max
+    red_count = np.full(trials, initial_reds, dtype=np.int64)
+    decided_n = np.zeros(trials, dtype=np.int64)
+    rounds = np.full(trials, cfg.phi, dtype=np.int64)
+    unanimity = np.full(trials, 0 if initial_reds in (0, c) else -1, dtype=np.int64)
+    live = np.arange(trials)
 
     for r in range(1, cfg.phi + 1):
-        if not alive.any():
+        if not live.size:
             break
-        u = gen.integers(0, c, size=T)
+        pick, outcome = gen.random((2, live.size))
+        slot = live * c + (pick * c).astype(np.int64)
+        query = cnt[slot] < beta
+        slot, v, t = slot[query], outcome[query], live[query]
+        ucol = col[slot]
         if strategy is Adversary.MINORITY_PUSH:
-            coin = gen.random(T) < 0.5
-        ucol = col[rows, u]
-        act = alive & ~decided[rows, u]
-        r_excl = red_count - ucol
-
-        if strategy is Adversary.NONE:
-            reds = gen.hypergeometric(
-                r_excl + byz_reds, (c - 1 - r_excl) + (b - byz_reds), k, size=T
-            )
-        elif strategy is Adversary.REFUSE:
-            reds = gen.hypergeometric(r_excl, c - 1 - r_excl, k, size=T)
-        elif strategy is Adversary.BALANCE_KEEPER:
-            j = gen.hypergeometric(b, c - 1, k, size=T)
-            cr = gen.hypergeometric(r_excl, c - 1 - r_excl, k - j, size=T)
-            reds = cr + j * (assign[rows, u] == 1)
-        else:  # minority push
-            maj_red = 2 * red_count > c
-            tie = 2 * red_count == c
-            push_red = np.where(tie, coin, ~maj_red)
-            j = gen.hypergeometric(b, c - 1, k, size=T)
-            cr = gen.hypergeometric(r_excl, c - 1 - r_excl, k - j, size=T)
-            reds = cr + j * push_red
-            if restricted:
-                refusing = np.where(push_red, not valid_red, not valid_blue)
-                alt = gen.hypergeometric(r_excl, c - 1 - r_excl, k, size=T)
-                reds = np.where(refusing, alt, reds)
-
-        win_r = act & (reds >= a)
-        win_b = act & (k - reds >= a)
-        got = win_r | win_b
-        wincol = np.where(win_r, 1, 0).astype(np.int8)
-        cnt_u = cnt[rows, u]
+            state = ucol * (c + 1) + red_count[t]
+        else:
+            state = red_count[t] - ucol
+            if strategy is Adversary.BALANCE_KEEPER:
+                state += assign[slot] * c
+        win_red = v < p_red[state]
+        win = v < p_any[state]
+        cnt_u = cnt[slot]
 
         if not snowball:
-            same = got & (wincol == ucol)
-            flip = got & (wincol != ucol)
-            cnt_new = np.where(same, cnt_u + 1, np.where(act, 0, cnt_u))
-            col_new = np.where(flip, wincol, ucol)
-            dec_now = same & (cnt_new >= beta)
+            cnt_new = np.where(win & (win_red == ucol), cnt_u + 1, 0)
+            col_new = np.where(win, win_red, ucol)
         else:
-            dr_u = d_red[rows, u] + win_r
-            db_u = d_blue[rows, u] + win_b
-            d_win = np.where(win_r, dr_u, db_u)
-            d_cur = np.where(ucol == 1, dr_u, db_u)
-            flip = got & (d_win > d_cur)
-            col_new = np.where(flip, wincol, ucol)
-            last_u = last[rows, u]
-            streak_break = got & (wincol != last_u)
-            cnt_new = np.where(
-                got, np.where(streak_break, 1, cnt_u + 1), np.where(act, 0, cnt_u)
-            )
-            last_new = np.where(streak_break, wincol, last_u).astype(np.int8)
-            dec_now = got & (cnt_new >= beta)
-            d_red[rows, u] = dr_u
-            d_blue[rows, u] = db_u
-            last[rows, u] = last_new
+            conf_new = conf[slot] + np.where(win, np.where(win_red, 1, -1), 0)
+            # A node turns only when the other color's confidence is strictly
+            # higher, so it holds the sign of conf_new, or its color at 0.
+            col_new = np.where(conf_new == 0, ucol, conf_new > 0)
+            last_u = last[slot]
+            cnt_new = np.where(win, np.where(win_red == last_u, cnt_u + 1, 1), 0)
+            last[slot] = np.where(win, win_red, last_u)
+            conf[slot] = conf_new
 
-        col[rows, u] = col_new
-        cnt[rows, u] = cnt_new
-        red_count += col_new.astype(np.int64) - ucol
-        iters[rows, u] += act
-        decided[rows, u] |= dec_now
-        early |= dec_now & (iters[rows, u] < beta)
-        dec_count += dec_now
-        messages += k * act
+        col[slot] = col_new
+        cnt[slot] = cnt_new
+        iters[slot] += 1
 
-        if strategy is Adversary.BALANCE_KEEPER:
-            moved = flip & (assign[rows, u] != col_new)
-            fl = np.flatnonzero(moved)
-            if fl.size:
-                uf = u[fl]
-                target = col_new[fl]
-                assign[fl, uf] = target
-                toward_red = target[:, None] == 1
-                if snowball:
-                    sk = np.where(toward_red, d_red[fl] - d_blue[fl], d_blue[fl] - d_red[fl])
-                else:
-                    sk = np.where(col[fl] == target[:, None], cnt[fl], -cnt[fl])
-                onside = assign[fl] == target[:, None]
-                sk = np.where(onside, sk, np.iinfo(np.int64).max)
-                loosest = np.argmin(sk, axis=1)
-                assign[fl, loosest] = 1 - target
+        moved = col_new != ucol
+        if moved.any():
+            tm, target = t[moved], col_new[moved]
+            red_count[tm] += 2 * target - 1
+            red_now = red_count[tm]
+            first = (unanimity[tm] < 0) & ((red_now == 0) | (red_now == c))
+            unanimity[tm[first]] = r
+            if strategy is Adversary.BALANCE_KEEPER:
+                sm = slot[moved]
+                off = assign[sm] != target
+                if off.any():
+                    sm, tm, target = sm[off], tm[off], target[off]
+                    assign[sm] = target
+                    nodes = tm[:, None] * c + np.arange(c)
+                    toward = target[:, None]
+                    if snowball:
+                        sk = np.where(toward == 1, conf[nodes], -conf[nodes])
+                    else:
+                        sk = np.where(col[nodes] == toward, cnt[nodes], -cnt[nodes])
+                    sk = np.where(assign[nodes] == toward, sk, offside)
+                    assign[tm * c + np.argmin(sk, axis=1)] = 1 - target
 
-        newly_unanimous = alive & (unanimity < 0) & ((red_count == 0) | (red_count == c))
-        unanimity[newly_unanimous] = r
-        finished = alive & (dec_count == c)
-        rounds[finished] = r
-        alive &= ~finished
+        now = cnt_new >= beta
+        if now.any():
+            td = t[now]
+            decided_n[td] += 1
+            done = td[decided_n[td] == c]
+            if done.size:
+                rounds[done] = r
+                live = live[decided_n[live] < c]
 
     # A decided node never queries again, so its decision is still its color
     # (Snowflake) or the color of its last successful query (Snowball).
-    decision = last if snowball else col
-    red_dec = decided & (decision == 1)
-    blue_dec = decided & (decision == 0)
+    decided = (cnt >= beta).reshape(trials, c)
+    red = (last if snowball else col).reshape(trials, c) == 1
+    red_dec = decided & red
+    blue_dec = decided & ~red
+    iters = iters.reshape(trials, c)
     return SnowBatch(
         c=c,
         rounds=rounds,
-        all_decided=dec_count == c,
+        all_decided=decided_n == c,
         safety_violation=red_dec.any(axis=1) & blue_dec.any(axis=1),
         unanimity_round=unanimity,
-        early_decision=early,
-        messages=messages,
+        early_decision=(decided & (iters < beta)).any(axis=1),
+        messages=k * iters.sum(axis=1),
         red_decisions=red_dec.sum(axis=1),
         blue_decisions=blue_dec.sum(axis=1),
     )

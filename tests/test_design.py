@@ -248,6 +248,17 @@ class TestFeasibilitySearch:
     def test_excessive_byzantine_share_infeasible(self):
         assert isinstance(feasibility_search(100, 49, 1e-6, 10**4, max_k=16), Infeasible)
 
+    def test_fewer_than_three_correct_nodes_rejected(self):
+        # No state lies strictly between the phase shift and unanimity.
+        with pytest.raises(ValueError, match=r"c = n - b >= 3 correct nodes; got c=2"):
+            feasibility_search(2, 0, 0.1, 100)
+        with pytest.raises(ValueError, match=r"c = n - b >= 3 correct nodes; got c=2"):
+            feasibility_search(5, 3, 0.1, 100)
+        with pytest.raises(ValueError, match=r"c = n - b >= 3 correct nodes; got c=2"):
+            find_point_of_no_return(build_snowflake_chain(2, 0, 1, 1), 0.1, 100)
+        d = feasibility_search(10, 0, 0.9, 100)
+        assert isinstance(churn_adjusted_delta(d, 0, 8), Infeasible)
+
     def test_fixed_k_variant(self):
         design = feasibility_search(100, 10, 1e-6, 10**4, k=5)
         assert isinstance(design, SafetyDesign)

@@ -2,18 +2,23 @@
 engine against the scalar one, and structural invariants of outcomes.
 
 The two engines share semantics but no sampling code (permutation walks
-vs direct hypergeometric count draws), so statistical agreement between
-them is a meaningful check, not a tautology.
+vs uniforms read off exact three-outcome tables), so statistical
+agreement between them is a meaningful check, not a tautology.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import linalg, stats
 
+import snowsim
 from snowsim.analysis import (
     absorption_probability,
     build_slush_chain,
@@ -30,6 +35,7 @@ from snowsim.sim import (
     run_snow,
     run_snow_batch,
 )
+from snowsim.sim.network import _outcome_tables
 
 
 def slush_cfg(c: int, k: int, a: int, phi: int = 200_000, seed: int = 0) -> NetworkConfig:
@@ -341,10 +347,133 @@ class TestBatchSnow:
         pooled = np.sqrt(np.var(scal, ddof=1) / len(scal) + bat.rounds.var(ddof=1) / 1500)
         assert abs(m_s - m_b) < 4 * pooled
 
+    @pytest.mark.parametrize(
+        ("adversary", "variant", "initial_reds"),
+        [
+            (Adversary.REFUSE, Variant.SNOWFLAKE, 5),
+            # An even split makes the tie coin pick the first pushes.
+            (Adversary.MINORITY_PUSH, Variant.SNOWBALL, 5),
+            # A unanimous start: blue was never proposed, so every push of
+            # the minority color is a refusal replaced by correct answers.
+            (Adversary.MINORITY_PUSH, Variant.SNOWBALL, 10),
+        ],
+    )
+    def test_scalar_and_batch_agree_under_refusals(self, adversary, variant, initial_reds):
+        # Mean rounds to full decision and mean red decisions per run,
+        # each within a 4 sigma pooled envelope.
+        params = ProtocolParams(k=3, a=3, beta=4)
+        scal = []
+        for i in range(150):
+            cfg = NetworkConfig(
+                n=12, b=2, params=params, phi=300_000, adversary=adversary, seed=9500 + i
+            )
+            out = run_snow(cfg, variant, initial_reds)
+            assert all(d is not None for d in out.decisions)
+            scal.append((out.rounds_used, out.decisions.count(Color.RED)))
+        cfg = NetworkConfig(n=12, b=2, params=params, phi=300_000, adversary=adversary, seed=95)
+        bat = run_snow_batch(cfg, variant, initial_reds, 1500)
+        assert bat.all_decided.all()
+        for s, b in zip(np.array(scal).T, (bat.rounds, bat.red_decisions)):
+            pooled = np.sqrt(s.var(ddof=1) / len(s) + b.var(ddof=1) / len(b))
+            assert abs(s.mean() - b.mean()) <= 4 * pooled
+
     def test_unanimity_round_sentinel(self):
         cfg = NetworkConfig(n=10, params=ProtocolParams(k=3, a=3, beta=3), phi=40_000, seed=2)
         bat = run_snow_batch(cfg, Variant.SNOWFLAKE, 10, 16)
         assert (bat.unanimity_round == 0).all()
+
+
+class TestOutcomeTables:
+    """The batch engine's three-outcome tables, entry by entry, against the
+    mechanical sample built here from scipy's hypergeometric pmf: j
+    Byzantine nodes in the k-sample of the other n - 1 nodes, the red ones
+    among them, then the red correct nodes among the other k - j. Refusals
+    leave k answers from the c - 1 correct others."""
+
+    @staticmethod
+    def mechanical(n, b, k, a, r_excl, byz_reds):
+        """(P(red win), P(red or blue win)) when ``byz_reds`` of the b
+        Byzantine nodes answer red and the rest blue; None means all refuse."""
+        c = n - b
+        if byz_reds is None:
+            pmf = stats.hypergeom.pmf(np.arange(k + 1), c - 1, r_excl, k)
+        else:
+            pmf = np.zeros(k + 1)
+            for j in range(min(b, k) + 1):
+                p_j = stats.hypergeom.pmf(j, n - 1, b, k)
+                p_jr = stats.hypergeom.pmf(np.arange(j + 1), b, byz_reds, j)
+                p_cr = stats.hypergeom.pmf(np.arange(k - j + 1), c - 1, r_excl, k - j)
+                pmf += p_j * np.convolve(p_jr, p_cr)
+        red = pmf[a:].sum()
+        return red, red + pmf[: k - a + 1].sum()
+
+    def check(self, cfg, initial_reds, size, expected):
+        p_red, p_any = _outcome_tables(cfg, initial_reds)
+        assert len(p_red) == len(p_any) == size
+        for index, want in expected.items():
+            assert abs(p_red[index] - want[0]) < 1e-12, (cfg.adversary, initial_reds, index)
+            assert abs(p_any[index] - want[1]) < 1e-12, (cfg.adversary, initial_reds, index)
+
+    # c = 10 has a tie state for minority push, c = 9 none.
+    @pytest.mark.parametrize(("n", "b", "k", "a"), [(14, 4, 5, 3), (13, 4, 4, 3)])
+    def test_tables_match_mechanical_sampling(self, n, b, k, a):
+        c = n - b
+        params = ProtocolParams(k=k, a=a, beta=3)
+
+        def cfg(adversary):
+            return NetworkConfig(n=n, b=b, params=params, phi=10, adversary=adversary)
+
+        def oracle(r_excl, byz_reds):
+            return self.mechanical(n, b, k, a, r_excl, byz_reds)
+
+        self.check(cfg(Adversary.NONE), c // 2, c, {r: oracle(r, b // 2) for r in range(c)})
+        self.check(cfg(Adversary.NONE), c, c, {r: oracle(r, b) for r in range(c)})
+        self.check(cfg(Adversary.REFUSE), 1, c, {r: oracle(r, None) for r in range(c)})
+        self.check(
+            cfg(Adversary.BALANCE_KEEPER), c // 2, 2 * c,
+            {assign * c + r: oracle(r, b * assign) for assign in (0, 1) for r in range(c)},
+        )
+        # Minority push, indexed by (own color, red count); a tie averages
+        # the two pushes, and a push of a color nobody proposed is a refusal.
+        for initial_reds in (c // 2, 0, c):
+            valid = {1: initial_reds > 0, 0: initial_reds < c}
+
+            def push(r_excl, color):
+                return oracle(r_excl, b * color if valid[color] else None)
+
+            expected = {}
+            for own in (0, 1):
+                for red in range(own, c + own):
+                    if 2 * red == c:
+                        both = np.array([push(red - own, 1), push(red - own, 0)])
+                        expected[own * (c + 1) + red] = both.mean(axis=0)
+                    else:
+                        expected[own * (c + 1) + red] = push(red - own, int(2 * red < c))
+            self.check(cfg(Adversary.MINORITY_PUSH), initial_reds, 2 * (c + 1), expected)
+
+
+def test_package_never_imports_scipy_stats():
+    # scipy.stats alone adds about 40 MB to a process; the package must not
+    # pull it in, the tests above only use it as an oracle.
+    code = (
+        "import sys\n"
+        "import snowsim.cli\n"
+        "from snowsim.machines import ProtocolParams, Variant\n"
+        "from snowsim.sim import Adversary, NetworkConfig, run_snow_batch\n"
+        "params = ProtocolParams(k=3, a=2, beta=3)\n"
+        "for adversary in Adversary:\n"
+        "    for variant in (Variant.SNOWFLAKE, Variant.SNOWBALL):\n"
+        "        cfg = NetworkConfig(n=12, b=2, params=params, phi=500, adversary=adversary)\n"
+        "        run_snow_batch(cfg, variant, 5, 4)\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+    )
+    src = str(Path(snowsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSnowflakePreDecisionChain:
