@@ -145,18 +145,11 @@ def hyper_tail(q: TailQuery) -> float:
 
 
 def hypergeom_pmf(n: int, x: int, k: int, j: int) -> float:
-    """P(exactly ``j`` of the ``k``-sample hold the color); building block.
-
-    Computed as the exact integer ratio C(x, j) C(n-x, k-j) / C(n, k), which
-    Python's integer division rounds correctly: log-gamma differences lose
-    about 1e-12 of relative accuracy by n = 500, enough for a full pmf to
-    sum visibly away from one.
-    """
+    """P(exactly ``j`` of the ``k``-sample hold the color); building block."""
     if not 0 <= x <= n or not 0 <= k <= n:
         raise ValueError(f"invalid hypergeometric parameters n={n}, x={x}, k={k}")
-    if not 0 <= j <= k:
-        return 0.0
-    return math.comb(x, j) * math.comb(n - x, k - j) / math.comb(n, k)
+    lv = _log_choose(x, j) + _log_choose(n - x, k - j) - _log_choose(n, k)
+    return math.exp(lv) if lv > -math.inf else 0.0
 
 
 def sample_without_replacement(pop_size: int, k: int, rng: Rng) -> set[int]:

@@ -26,7 +26,6 @@ the chain's moves and the geometric number of rounds between them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,7 +39,7 @@ from snowsim.machines import (
     fresh_state,
     handle_sample_result,
 )
-from snowsim.sampling import Rng
+from snowsim.sampling import Rng, _tail_raw
 from snowsim.sim.adversaries import Adversary, AdversaryState
 
 
@@ -373,30 +372,6 @@ def run_slush_batch(cfg: NetworkConfig, initial_reds: int, trials: int) -> Slush
     )
 
 
-def _win_probabilities(
-    pop: int, reds: np.ndarray, k: int, a: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """P(red win) and P(red or blue win) of one query, for each entry of ``reds``.
-
-    The query is answered by a uniform k-sample of ``pop`` nodes, ``reds``
-    of which answer red; red wins with at least ``a`` red answers and blue
-    with at most ``k - a``. Hypergeometric pmf terms come from a
-    log-factorial table, so a whole table costs a few numpy operations.
-    """
-    log_fact = np.array([math.lgamma(i + 1.0) for i in range(pop + 1)])
-
-    def log_choose(m, s):
-        return log_fact[m] - log_fact[s] - log_fact[np.maximum(m - s, 0)]
-
-    j = np.arange(k + 1)
-    x = reds[:, None]
-    support = (j <= x) & (k - j <= pop - x)
-    log_pmf = log_choose(x, j) + log_choose(pop - x, k - j) - log_choose(pop, k)
-    pmf = np.exp(np.where(support, log_pmf, -np.inf))
-    red = pmf[:, a:].sum(axis=1)
-    return red, red + pmf[:, : k - a + 1].sum(axis=1)
-
-
 def _outcome_tables(cfg: NetworkConfig, initial_reds: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact (P(red win), P(red or blue win)) for every query state the
     configured adversary tells apart, indexed as :func:`run_snow_batch` reads
@@ -411,20 +386,27 @@ def _outcome_tables(cfg: NetworkConfig, initial_reds: int) -> tuple[np.ndarray, 
       each, and a push of a color never proposed is a refusal.
     """
     c, b, k, a = cfg.c, cfg.b, cfg.params.k, cfg.params.a
+
+    def win_probabilities(pop: int, reds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # A uniform k-sample of pop nodes, reds of which answer red: red wins
+        # with at least a red answers, blue with at least a blue ones.
+        red = np.array([_tail_raw(pop, int(x), k, a) for x in reds])
+        return red, red + np.array([_tail_raw(pop, pop - int(x), k, a) for x in reds])
+
     valid_red, valid_blue = initial_reds > 0, initial_reds < c
     r_excl = np.arange(c)
     if cfg.adversary is Adversary.NONE:
         byz_reds = b // 2 if valid_red and valid_blue else (b if valid_red else 0)
-        return _win_probabilities(cfg.n - 1, r_excl + byz_reds, k, a)
+        return win_probabilities(cfg.n - 1, r_excl + byz_reds)
     if cfg.adversary is Adversary.REFUSE:
-        return _win_probabilities(c - 1, r_excl, k, a)
+        return win_probabilities(c - 1, r_excl)
     if cfg.adversary is Adversary.BALANCE_KEEPER:
-        return _win_probabilities(cfg.n - 1, np.concatenate([r_excl, r_excl + b]), k, a)
+        return win_probabilities(cfg.n - 1, np.concatenate([r_excl, r_excl + b]))
     red = np.tile(np.arange(c + 1), 2)
     r_excl = np.clip(red - np.repeat([0, 1], c + 1), 0, c - 1)
-    refused = _win_probabilities(c - 1, r_excl, k, a)
-    push_red = _win_probabilities(cfg.n - 1, r_excl + b, k, a) if valid_red else refused
-    push_blue = _win_probabilities(cfg.n - 1, r_excl, k, a) if valid_blue else refused
+    refused = win_probabilities(c - 1, r_excl)
+    push_red = win_probabilities(cfg.n - 1, r_excl + b) if valid_red else refused
+    push_blue = win_probabilities(cfg.n - 1, r_excl) if valid_blue else refused
     w = np.where(2 * red < c, 1.0, np.where(2 * red > c, 0.0, 0.5))
     return w * push_red[0] + (1 - w) * push_blue[0], w * push_red[1] + (1 - w) * push_blue[1]
 
@@ -484,11 +466,11 @@ def run_snow_batch(
         slot, v, t = slot[query], outcome[query], live[query]
         ucol = col[slot]
         if strategy is Adversary.MINORITY_PUSH:
-            state = ucol * (c + 1) + red_count[t]
+            state = ucol.astype(np.int64) * (c + 1) + red_count[t]
         else:
             state = red_count[t] - ucol
             if strategy is Adversary.BALANCE_KEEPER:
-                state += assign[slot] * c
+                state += assign[slot].astype(np.int64) * c
         win_red = v < p_red[state]
         win = v < p_any[state]
         cnt_u = cnt[slot]

@@ -347,6 +347,25 @@ class TestBatchSnow:
         pooled = np.sqrt(np.var(scal, ddof=1) / len(scal) + bat.rounds.var(ddof=1) / 1500)
         assert abs(m_s - m_b) < 4 * pooled
 
+    @staticmethod
+    def assert_engines_agree(adversary, variant, initial_reds, params, runs, trials):
+        # Mean rounds to full decision and mean red decisions per run,
+        # each within a 4 sigma pooled envelope.
+        scal = []
+        for i in range(runs):
+            cfg = NetworkConfig(
+                n=12, b=2, params=params, phi=300_000, adversary=adversary, seed=9500 + i
+            )
+            out = run_snow(cfg, variant, initial_reds)
+            assert all(d is not None for d in out.decisions)
+            scal.append((out.rounds_used, out.decisions.count(Color.RED)))
+        cfg = NetworkConfig(n=12, b=2, params=params, phi=300_000, adversary=adversary, seed=95)
+        bat = run_snow_batch(cfg, variant, initial_reds, trials)
+        assert bat.all_decided.all()
+        for s, b in zip(np.array(scal).T, (bat.rounds, bat.red_decisions)):
+            pooled = np.sqrt(s.var(ddof=1) / len(s) + b.var(ddof=1) / len(b))
+            assert abs(s.mean() - b.mean()) <= 4 * pooled
+
     @pytest.mark.parametrize(
         ("adversary", "variant", "initial_reds"),
         [
@@ -359,23 +378,35 @@ class TestBatchSnow:
         ],
     )
     def test_scalar_and_batch_agree_under_refusals(self, adversary, variant, initial_reds):
-        # Mean rounds to full decision and mean red decisions per run,
-        # each within a 4 sigma pooled envelope.
         params = ProtocolParams(k=3, a=3, beta=4)
-        scal = []
-        for i in range(150):
-            cfg = NetworkConfig(
-                n=12, b=2, params=params, phi=300_000, adversary=adversary, seed=9500 + i
-            )
-            out = run_snow(cfg, variant, initial_reds)
-            assert all(d is not None for d in out.decisions)
-            scal.append((out.rounds_used, out.decisions.count(Color.RED)))
-        cfg = NetworkConfig(n=12, b=2, params=params, phi=300_000, adversary=adversary, seed=95)
-        bat = run_snow_batch(cfg, variant, initial_reds, 1500)
-        assert bat.all_decided.all()
-        for s, b in zip(np.array(scal).T, (bat.rounds, bat.red_decisions)):
-            pooled = np.sqrt(s.var(ddof=1) / len(s) + b.var(ddof=1) / len(b))
-            assert abs(s.mean() - b.mean()) <= 4 * pooled
+        self.assert_engines_agree(adversary, variant, initial_reds, params, 150, 1500)
+
+    @pytest.mark.parametrize("variant", [Variant.SNOWFLAKE, Variant.SNOWBALL])
+    def test_scalar_and_batch_agree_while_balance_keeper_reassigns(self, variant):
+        # From an even split nodes turn, so the balance keeper reassigns and
+        # Snowball's turn rule decides when. beta = 2 keeps Snowball's
+        # rounds light-tailed (at beta = 4 one to three of 1 500 trials
+        # outlast 300 000 rounds). Turning Snowball on any single win, or
+        # reassigning the most committed node of a side, moves mean rounds
+        # by about a third of their sd: 7-10 sigma at these run counts.
+        params = ProtocolParams(k=3, a=3, beta=2)
+        self.assert_engines_agree(
+            Adversary.BALANCE_KEEPER, variant, 5, params, 1000, 3000
+        )
+
+    @pytest.mark.parametrize("variant", [Variant.SNOWFLAKE, Variant.SNOWBALL])
+    @pytest.mark.parametrize("adversary", [Adversary.MINORITY_PUSH, Adversary.BALANCE_KEEPER])
+    def test_table_index_does_not_overflow_above_127_correct_nodes(self, adversary, variant):
+        # Node colors are stored narrow; the table index must not be
+        # computed in their dtype once it exceeds 127.
+        cfg = NetworkConfig(
+            n=140, b=10, params=ProtocolParams(k=5, a=4, beta=3), phi=20_000,
+            adversary=adversary, seed=4,
+        )
+        bat = run_snow_batch(cfg, variant, 65, 3)
+        assert bat.c == 130
+        assert not bat.early_decision.any()
+        assert ((bat.red_decisions + bat.blue_decisions)[bat.all_decided] == 130).all()
 
     def test_unanimity_round_sentinel(self):
         cfg = NetworkConfig(n=10, params=ProtocolParams(k=3, a=3, beta=3), phi=40_000, seed=2)
