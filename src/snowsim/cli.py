@@ -14,8 +14,8 @@ Settings resolve in priority order: command-line flag, then config file,
 then the ``SNOWSIM_SEED`` environment variable (the seed only, for the
 subcommands that take one), then built-in defaults. The config file is
 plain ``key = value`` lines with ``#`` comments; its keys are the flag
-names, a subcommand reads only those it takes, and unknown keys are
-errors.
+names, and a key that is unknown or that the subcommand does not take is
+an error, as the flag would be.
 
 Run commands write ``<out>.csv`` (aggregate rows, versioned header) and
 ``<out>.jsonl`` (one lossless record per trial); without ``--out`` the
@@ -147,15 +147,20 @@ def load_config(path: str) -> dict[str, object]:
 
 
 def _resolve_settings(
-    keys: Sequence[str], args: argparse.Namespace, file_cfg: Mapping[str, object]
+    command: str, args: argparse.Namespace, file_cfg: Mapping[str, object]
 ) -> dict[str, Any]:
-    """The typed settings among ``keys`` that are set: flag, else config file,
+    """The typed settings of ``command`` that are set: flag, else config file,
     else (``seed`` only) ``SNOWSIM_SEED``. Callers supply the defaults.
 
-    A malformed ``SNOWSIM_SEED`` is rejected even when a flag or the file
-    sets the seed.
+    A config key the command does not take is rejected, as its flag would
+    be. A malformed ``SNOWSIM_SEED`` is rejected even when a flag or the
+    file sets the seed.
     """
-    settings = {name: file_cfg[name] for name in keys if name in file_cfg}
+    keys = _COMMANDS[command][2]
+    stray = [key for key in file_cfg if key not in keys]
+    if stray:
+        raise ConfigError(f"{args.config}: {command} does not take key {stray[0]!r}")
+    settings = dict(file_cfg)
     for name in keys:
         if getattr(args, name) is not None:
             settings[name] = getattr(args, name)
@@ -477,8 +482,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         file_cfg = load_config(args.config) if args.config else {}
-        handler, _, keys = _COMMANDS[args.command]
-        return handler(_resolve_settings(keys, args, file_cfg))
+        handler = _COMMANDS[args.command][0]
+        return handler(_resolve_settings(args.command, args, file_cfg))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

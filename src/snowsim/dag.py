@@ -29,6 +29,9 @@ GENESIS_ID = "genesis"
 
 _ORIGIN_KEY = "origin"
 
+# Parents a fresh transaction or no-op names.
+FANIN = 2
+
 
 class MissingDependencyError(ValueError):
     """A vertex arrived before some of its parents."""
@@ -48,18 +51,15 @@ class DagParams:
 
     ``a`` is the yes-vote quorum out of ``k`` sampled peers and must be a
     strict majority of the sample. ``beta1`` commits a virtuous vertex
-    early; ``beta2`` commits the current streak owner of a contested set.
-    ``fanin`` bounds how many parents a fresh transaction names, and
-    ``staleness`` is the number of quiet rounds after which a stuck
-    virtuous vertex earns a no-op child (defaults to ``beta1``).
+    early, and is also the number of quiet rounds after which a stuck
+    virtuous vertex earns a no-op child; ``beta2`` commits the current
+    streak owner of a contested set.
     """
 
     k: int
     a: int
     beta1: int
     beta2: int
-    fanin: int = 2
-    staleness: int | None = None
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -70,21 +70,13 @@ class DagParams:
             raise ValueError("beta1 must be at least 1")
         if self.beta2 < self.beta1:
             raise ValueError("beta2 must be at least beta1")
-        if self.fanin < 1:
-            raise ValueError("parent fan-in must be at least 1")
-        if self.staleness is not None and self.staleness < 1:
-            raise ValueError("staleness must be at least 1 round")
 
     @classmethod
-    def from_alpha(cls, k: int, alpha: float, beta1: int, beta2: int, **kw: object) -> "DagParams":
+    def from_alpha(cls, k: int, alpha: float, beta1: int, beta2: int) -> "DagParams":
         """Build params with the quorum given as a fraction of the sample."""
         if not 0.5 < alpha <= 1.0:
             raise ValueError("alpha must lie in (1/2, 1]")
-        return cls(k=k, a=math.ceil(alpha * k), beta1=beta1, beta2=beta2, **kw)  # type: ignore[arg-type]
-
-    @property
-    def effective_staleness(self) -> int:
-        return self.beta1 if self.staleness is None else self.staleness
+        return cls(k=k, a=math.ceil(alpha * k), beta1=beta1, beta2=beta2)
 
 
 @dataclass
@@ -101,7 +93,6 @@ class Vertex:
     parents: tuple[str, ...]
     conflict_key: str
     chit: int = 0
-    queried: bool = False
 
 
 @dataclass
@@ -145,6 +136,8 @@ class DagState:
     confidences only when those are read (``confidence``,
     ``conflict_sets``, ``export_json_lines``). Strong preference is
     remembered per vertex until some conflict set's preference flips.
+    Commitment has one rule, applied in one oldest-first pass over a
+    vertex's unsettled ancestry (``is_accepted``); ``accepted`` is its memo.
     """
 
     def __init__(self, genesis_data: bytes = b"") -> None:
@@ -152,7 +145,6 @@ class DagState:
         self._sets: dict[str, ConflictSet] = {}
         self.queried: set[str] = set()
         self._confidence: dict[str, int] = {}
-        self.utxo_index: dict[str, str] = {}
         self.children: dict[str, list[str]] = {}
         self.accepted: set[str] = set()
         # Every acceptance in the order it happened, genesis first.
@@ -201,7 +193,6 @@ class DagState:
             if cs.members[0] in self.settled:  # settled means alone in its set
                 self._unsettle(cs.members[0])
             cs.members.append(v.id)
-        self._index_utxo(v.conflict_key)
 
     def on_receive_tx(self, v: Vertex) -> None:
         """Insert ``v`` if unknown. Idempotent; parents must already exist."""
@@ -210,7 +201,7 @@ class DagState:
         missing = [p for p in v.parents if p not in self.vertices]
         if missing:
             raise MissingDependencyError(f"parents not yet delivered: {missing}")
-        self._admit(replace(v, chit=0, queried=False))
+        self._admit(replace(v, chit=0))
 
     def mint_utxo(self, utxo: str) -> None:
         """Register an externally created spendable output."""
@@ -236,7 +227,7 @@ class DagState:
         unknown = [u for u in inputs if u not in self.minted and u not in self.vertices]
         if unknown:
             raise UnknownUtxoError(f"unknown outputs: {unknown}")
-        parents = tuple(sorted(self.parent_selection(params.fanin, rng), key=self._seq.__getitem__))
+        parents = tuple(sorted(self.parent_selection(FANIN, rng), key=self._seq.__getitem__))
         ids = []
         for utxo in inputs:
             vtx = make_vertex(data, parents, utxo)
@@ -394,7 +385,6 @@ class DagState:
             raise RequeryError(f"{tid} was already queried")
         v = self.vertices[tid]
         self.queried.add(tid)
-        v.queried = True
         self.clock += 1
         if tid in self.settled:
             ancestors, edge = [], {tid}
@@ -410,12 +400,10 @@ class DagState:
                 self._confidence[aid] += 1
                 self._last_progress[aid] = self.clock
             for aid in ancestors:
-                key = self.vertices[aid].conflict_key
-                cs = self._sets[key]
+                cs = self._sets[self.vertices[aid].conflict_key]
                 if self._confidence[aid] > self._confidence[cs.pref]:
                     cs.pref = aid
                     self._strong.clear()
-                    self._index_utxo(key)
                 if aid != cs.last:
                     cs.last = aid
                     cs.cnt = 1
@@ -448,53 +436,15 @@ class DagState:
     # decisions
 
     def is_accepted(self, tid: str, beta1: int, beta2: int) -> bool:
-        """Commitment predicate; true results are remembered forever.
+        """Apply the commitment rule to ``tid`` and its unsettled ancestors,
+        oldest first, and report whether ``tid`` is accepted.
 
         A virtuous vertex commits early once its whole parent set is
         accepted and its counter reaches ``beta1``. In a contested set
         only the current streak owner can commit, at ``beta2``; handing
         the counter to the set alone would commit every member at once.
-        """
-        if tid not in self.vertices:
-            raise KeyError(tid)
-        memo: dict[str, bool] = {}
-        stack: list[tuple[str, bool]] = [(tid, False)]
-        while stack:
-            t, expanded = stack.pop()
-            if t in memo:
-                continue
-            if t in self.accepted:
-                memo[t] = True
-                continue
-            v = self.vertices[t]
-            cs = self._sets[v.conflict_key]
-            if cs.cnt >= beta2 and cs.last == t:
-                memo[t] = True
-                self._accept(t)
-                continue
-            if not expanded:
-                stack.append((t, True))
-                for p in v.parents:
-                    if p not in memo:
-                        stack.append((p, False))
-            else:
-                ok = (
-                    len(cs.members) == 1
-                    and cs.cnt >= beta1
-                    and all(memo.get(p, False) for p in v.parents)
-                )
-                memo[t] = ok
-                if ok:
-                    self._accept(t)
-        return memo[tid]
-
-    def accept_ancestry(self, tid: str, beta1: int, beta2: int) -> None:
-        """Apply the commitment predicate to ``tid`` and all its ancestors.
-
-        The same outcome as ``is_accepted`` on each unaccepted reflexive
-        ancestor in turn, in one oldest-first pass over the unsettled ones:
-        by the time a vertex is judged its parents have been, so the
-        accepted set itself serves as the memo.
+        By the time a vertex is judged its parents have been, so the
+        accepted set itself is the memo, and acceptance is permanent.
         """
         for t in self.reflexive_ancestors(tid, self.settled):
             if t in self.accepted:
@@ -507,6 +457,7 @@ class DagState:
                 and all(p in self.accepted for p in v.parents)
             ):
                 self._accept(t)
+        return tid in self.accepted
 
     # ------------------------------------------------------------------
     # growth
@@ -545,19 +496,9 @@ class DagState:
 
     def _pending_cover(self) -> set[str]:
         """Unaccepted vertices that some unresolved query will still bump:
-        every unaccepted ancestor of every vertex awaiting its query."""
-        covered: set[str] = set()
-        for vid in self._order[self._query_cursor :]:
-            if vid in self.queried or vid in covered:
-                continue
-            stack = [vid]
-            while stack:
-                t = stack.pop()
-                covered.add(t)
-                for pp in self.vertices[t].parents:
-                    if pp not in self.accepted and pp not in covered:
-                        stack.append(pp)
-        return covered
+        every vertex awaiting its query and its unaccepted ancestors."""
+        waiting = (v for v in self._order[self._query_cursor :] if v not in self.queried)
+        return self._climb(waiting, self.accepted)
 
     def emit_nop_if_stuck(
         self, tid: str, params: DagParams, pending: Optional[set[str]] = None
@@ -566,7 +507,7 @@ class DagState:
 
         A vertex is starved when it is virtuous real traffic, not yet
         accepted, its whole ancestry is accepted, nothing unresolved can
-        still bump it, and its counter has not moved for ``staleness``
+        still bump it, and its counter has not moved for ``beta1``
         rounds. Starvation puts it in catch-up mode: the first no-op waits
         out the staleness window, and as long as the vertex stays
         unaccepted each resolved helper is followed by another, so the
@@ -581,18 +522,18 @@ class DagState:
         if tid in (self._pending_cover() if pending is None else pending):
             return None  # help is already in flight
         if tid not in self._nop_catchup:
-            if self.clock - self._last_progress[tid] < params.effective_staleness:
+            if self.clock - self._last_progress[tid] < params.beta1:
                 return None
         if self.is_accepted(tid, params.beta1, params.beta2):
             self._nop_catchup.discard(tid)
             return None
-        # Settled ancestors are accepted; only unsettled ones can fail.
-        ancestry = [a for a in self.reflexive_ancestors(tid, self.settled) if a != tid]
-        if not all(self.is_accepted(a, params.beta1, params.beta2) for a in ancestry):
+        # That pass judged every unsettled ancestor; settled ones are accepted.
+        ancestry = self.reflexive_ancestors(tid, self.settled)
+        if not all(a in self.accepted for a in ancestry if a != tid):
             return None
         self._nop_catchup.add(tid)
         # Fall back to a direct edge when the frontier would not cover tid.
-        sel = self.parent_selection(params.fanin)
+        sel = self.parent_selection(FANIN)
         if not any(tid in self.reflexive_ancestors(pp, self.settled) for pp in sel):
             sel = {tid}
         parents = tuple(sorted(sel, key=self._seq.__getitem__))
@@ -619,7 +560,7 @@ class DagState:
         the staleness window, and a failed full check is not repeated for
         another window.
         """
-        horizon = params.effective_staleness
+        horizon = params.beta1
         pending = self._pending_cover()
         out: list[Vertex] = []
         for vid in list(self._unsettled):
@@ -643,11 +584,6 @@ class DagState:
 
     # ------------------------------------------------------------------
     # bookkeeping and export
-
-    def _index_utxo(self, key: str) -> None:
-        # Synthetic keys (genesis, no-ops) are not spendable outputs.
-        if key in self.minted or key in self.vertices:
-            self.utxo_index[key] = self._sets[key].pref
 
     def export_json_lines(self) -> list[str]:
         """Serialize every vertex, parents before children, one JSON object

@@ -40,7 +40,6 @@ __all__ = [
     "fresh_state",
     "handle_query",
     "handle_sample_result",
-    "is_decided",
 ]
 
 
@@ -194,8 +193,3 @@ def handle_sample_result(
     if new.cnt >= params.beta:
         new = replace(new, decided=new.lastcol)
     return new
-
-
-def is_decided(state: SnowState) -> Color | None:
-    """The decided color, or None while the node is still undecided."""
-    return state.decided

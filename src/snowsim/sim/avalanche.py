@@ -17,11 +17,13 @@ emissions converge to a single shared vertex.
 
 The cost of a round follows the unsettled part of the replicas, not
 their history. A delivery walks back only to the vertices the receiver
-already holds. The query's own walk and the acceptance check after it
-stop at settled vertices (accepted, alone in their conflict set, with
-settled parents), as does the no-op sweep; strong preference is cached
-per vertex until some preference flips; and the global tally reads
-each replica's log of new acceptances.
+already holds. The query's own walk and the commitment pass after it
+(``DagState.is_accepted`` over the queried vertex's ancestry, the one
+place the commitment rule is applied) stop at settled vertices
+(accepted, alone in their conflict set, with settled parents), as does
+the no-op sweep; strong preference is cached per vertex until some
+preference flips; and the global tally reads each replica's log of new
+acceptances, running the same pass on the children of each one.
 """
 
 from __future__ import annotations
@@ -224,7 +226,7 @@ def run_avalanche(cfg: AvalancheConfig) -> AvalancheOutcome:
                 yes += dags[v].on_query(vtx)
             messages += k
             dag.record_query_result(tid, yes, p)
-            dag.accept_ancestry(tid, p.beta1, p.beta2)
+            dag.is_accepted(tid, p.beta1, p.beta2)
         nops += len(dag.emit_nops(p))
         tally(u, r)
 

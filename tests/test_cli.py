@@ -36,6 +36,20 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert ":2:" in err and "wibble" in err
 
+    @pytest.mark.parametrize(
+        "argv, line, key",
+        [
+            (["design", "--n", "100"], "trials = 3", "trials"),
+            (TINY_SLUSH, "variant = snowball", "variant"),
+        ],
+    )
+    def test_key_the_subcommand_does_not_take_is_rejected(self, tmp_path, capsys, argv, line, key):
+        cfg = tmp_path / "stray.cfg"
+        cfg.write_text(line + "\n")
+        assert main(argv + ["--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert repr(key) in err and argv[0] in err
+
     def test_duplicate_key_is_rejected(self, tmp_path):
         cfg = tmp_path / "dup.cfg"
         cfg.write_text("seed = 1\nseed = 2\n")

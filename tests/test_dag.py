@@ -3,7 +3,6 @@ structure-level invariants driven by generated histories."""
 
 from __future__ import annotations
 
-import copy
 import json
 
 import pytest
@@ -129,9 +128,9 @@ class TestReceive:
 
     def test_inserted_chit_is_always_zero(self):
         dag = DagState()
-        dag.on_receive_tx(Vertex("A", b"", (GENESIS_ID,), "uA", chit=1, queried=True))
+        dag.on_receive_tx(Vertex("A", b"", (GENESIS_ID,), "uA", chit=1))
         assert dag.vertices["A"].chit == 0
-        assert not dag.vertices["A"].queried
+        assert "A" not in dag.queried
         assert dag.confidence("A") == 0
 
 
@@ -237,11 +236,10 @@ class TestQueryResolution:
         dag.mint_utxo("coin")
         (a,) = dag.on_generate_tx(b"first", ["coin"], UNIT)
         (b,) = dag.on_generate_tx(b"second", ["coin"], UNIT)
-        assert dag.utxo_index["coin"] == a
+        assert dag.conflict_sets["coin"].pref == a
         dag.record_query_result(b, 1, UNIT)
         cs = dag.conflict_sets["coin"]
         assert cs.pref == b and cs.last == b and cs.cnt == 1
-        assert dag.utxo_index["coin"] == b
 
     def test_on_query_votes_by_strong_preference(self):
         dag = replay_nine()
@@ -299,6 +297,21 @@ class TestAcceptance:
         assert dag.is_accepted("Y", 2, 3)
         # The set counter alone must not commit the loser.
         assert not dag.is_accepted("X", 2, 3)
+
+    def test_one_pass_accepts_ancestors_behind_a_streak_owner(self):
+        dag = DagState()
+        dag.on_receive_tx(Vertex("A", b"", (GENESIS_ID,), "uA"))
+        dag.on_receive_tx(Vertex("X", b"", ("A",), "coin"))
+        dag.on_receive_tx(Vertex("Y", b"", ("A",), "coin"))
+        dag.on_receive_tx(Vertex("Y1", b"", ("Y",), "u1"))
+        dag.on_receive_tx(Vertex("Y2", b"", ("Y",), "u2"))
+        for vid in ("Y", "Y1", "Y2"):
+            dag.record_query_result(vid, 1, UNIT)
+        # Y owns its set's streak at beta2; A, alone in its set with
+        # cnt 3 >= beta1 under accepted genesis, commits in the same pass.
+        assert dag.is_accepted("Y", 2, 3)
+        assert "A" in dag.accepted
+        assert "X" not in dag.accepted
 
     def test_acceptance_is_sticky(self):
         dag = DagState()
@@ -369,7 +382,7 @@ class TestNop:
 
     def test_starved_virtuous_vertex_gets_a_child(self):
         dag = self.stuck_vertex()
-        dag.advance_clock(UNIT.effective_staleness)
+        dag.advance_clock(UNIT.beta1)
         nop = dag.emit_nop_if_stuck("A", UNIT)
         assert nop is not None
         assert nop.parents == ("A",)
@@ -570,7 +583,7 @@ class TestGeneratedHistories:
                 if pref is None:
                     pref = last = vid
             vid = spenders[who]
-            if dag.vertices[vid].queried:
+            if vid in dag.queried:
                 continue
             dag.record_query_result(vid, int(success), UNIT)
             if success:
@@ -686,14 +699,22 @@ class TestCachesAgainstWalks:
             elif kind == 3:
                 dag.is_accepted(target, FAST.beta1, FAST.beta2)
             elif kind == 4:
-                # As the runner does after a query, or from anywhere.
+                # As the runner does after a query, or from anywhere: the
+                # commitment rule over the whole reflexive ancestry, oldest
+                # first, with no settled cut.
                 target = known[-1] if vote else target
-                before = copy.deepcopy(dag)
-                for aid in before.reflexive_ancestors(target):
-                    if aid not in before.accepted:
-                        before.is_accepted(aid, FAST.beta1, FAST.beta2)
-                dag.accept_ancestry(target, FAST.beta1, FAST.beta2)
-                assert dag.accepted == before.accepted
+                expected = set(dag.accepted)
+                for aid in dag.reflexive_ancestors(target):
+                    v = dag.vertices[aid]
+                    cs = dag.conflict_sets[v.conflict_key]
+                    if (cs.cnt >= FAST.beta2 and cs.last == aid) or (
+                        len(cs.members) == 1
+                        and cs.cnt >= FAST.beta1
+                        and all(p in expected for p in v.parents)
+                    ):
+                        expected.add(aid)
+                assert dag.is_accepted(target, FAST.beta1, FAST.beta2) == (target in expected)
+                assert dag.accepted == expected
             else:
                 dag.advance_clock(pick % 4)
                 dag.emit_nops(FAST)
@@ -714,7 +735,7 @@ class TestCachesAgainstWalks:
         (b,) = dag.on_generate_tx(b"b", [a], FAST)
         query(b, 1)
         assert dag.vertices[b].parents == (a,)
-        dag.accept_ancestry(b, FAST.beta1, FAST.beta2)
+        dag.is_accepted(b, FAST.beta1, FAST.beta2)
         assert dag.settled == {GENESIS_ID, a, b}
         # A result reaching only settled vertices is applied when read.
         (c,) = dag.on_generate_tx(b"c", [b], FAST)
@@ -738,7 +759,7 @@ class TestCachesAgainstWalks:
         dag.mint_utxo("coin")
         (a,) = dag.on_generate_tx(b"a", ["coin"], FAST)
         dag.record_query_result(a, 1, FAST)
-        dag.accept_ancestry(a, FAST.beta1, FAST.beta2)
+        dag.is_accepted(a, FAST.beta1, FAST.beta2)
         assert a in dag.settled
         assert dag.parent_selection(2) == {a}
         (b,) = dag.on_generate_tx(b"b", [a], FAST)

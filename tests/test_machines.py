@@ -20,7 +20,6 @@ from snowsim.machines import (
     fresh_state,
     handle_query,
     handle_sample_result,
-    is_decided,
 )
 
 R, B = Color.RED, Color.BLUE
@@ -95,7 +94,6 @@ class TestSnowflake:
         assert (s.col, s.cnt, s.decided) == (B, 1, None)
         s = handle_sample_result(s, p, counts(1, 2))
         assert (s.col, s.cnt, s.decided) == (B, 2, B)
-        assert is_decided(s) is B
 
     def test_failed_round_resets_run(self):
         p = ProtocolParams(k=4, a=3, beta=3)

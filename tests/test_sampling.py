@@ -113,6 +113,16 @@ class TestHyperTail:
         total = sum(hypergeom_pmf(n, x, k, j) for j in range(0, k + 1))
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_pmf_sums_to_one_at_n_500(self):
+        # Log-gamma differences summed to 1 + 1.49e-12 here.
+        total = sum(hypergeom_pmf(500, 31, 31, j) for j in range(0, 32))
+        assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_pmf_is_zero_outside_the_sample(self):
+        assert hypergeom_pmf(10, 4, 3, -1) == 0.0
+        assert hypergeom_pmf(10, 4, 3, 4) == 0.0
+        assert hypergeom_pmf(10, 4, 3, 0) == pytest.approx(1 / 6)
+
     def test_tail_below_hoeffding_bound_on_grid(self):
         # P(H >= a) = P(k - H <= k - a); apply the bound to the complement
         # color, whose ratio is 1 - x/n, at deviation psi = (1-x/n) - (k-a)/k.
