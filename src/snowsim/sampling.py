@@ -20,6 +20,13 @@ sum does.  We therefore evaluate every term as a log-binomial via
 remaining, well-scaled summation through Kahan compensation.  The test suite
 pins this implementation against exact ``fractions.Fraction`` arithmetic.
 
+Scalar callers use ``_tail_raw``.  Callers that need the tail at every state
+of a chain or outcome table use ``_tail_array``, which runs the same
+arithmetic with one array lane per ``x`` and returns the same values bit for
+bit (its exponentials come from ``math.exp`` too, as ``np.exp`` can differ in
+the last bit).  Its memory is linear in the number of states; it never holds
+a states x support table.
+
 Randomness is provided by Philox, a counter-based bit generator: two ``Rng``
 handles built from the same seed but different stream ids yield independent
 streams, and the same (seed, stream_id) pair reproduces the same draws
@@ -133,6 +140,50 @@ def _tail_raw(n: int, x: int, k: int, a: int) -> float:
         carry = (new_total - total) - term
         total = new_total
     return min(1.0, math.exp(m) * total)
+
+
+def _exp(values: np.ndarray) -> np.ndarray:
+    """``math.exp`` of every entry; ``np.exp`` can differ from it in the last bit."""
+    return np.fromiter(map(math.exp, values.tolist()), float, values.size)
+
+
+def _tail_array(n: int, xs: np.ndarray, k: int, a: int) -> np.ndarray:
+    """``_tail_raw(n, x, k, a)`` for every ``x`` in ``xs`` (each in 0..n), bit for bit.
+
+    One lane per ``x`` runs ``_tail_raw``'s arithmetic in its order: the
+    log-binomials read one ``math.lgamma`` table, each lane factors out the
+    largest log-term over its own support, and the Kahan loop walks ``j``
+    upward, a lane outside its support carrying its sum and compensation
+    through unchanged. Two passes over ``j`` (the maximum, then the sum)
+    keep every temporary the length of ``xs``.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    if a <= 0:
+        return np.ones(xs.shape)
+    lo, hi = np.maximum(a, k - (n - xs)), np.minimum(k, xs)
+    js = range(int(lo.min(initial=k + 1)), int(hi.max(initial=-1)) + 1)
+    lg = np.array(list(map(math.lgamma, range(1, n + 2))))  # lg[m] = log m!
+    lg_x, lg_rest = lg[xs], lg[n - xs]
+    log_denom = _log_choose(n, k)
+
+    def log_terms(j: int) -> np.ndarray:
+        # _log_choose(x, j) + _log_choose(n - x, k - j) - log_denom; lanes
+        # outside the support read clipped indices and are masked by callers.
+        x_j, rest_j = np.clip(xs - j, 0, n), np.clip(n - xs - (k - j), 0, n)
+        return ((lg_x - lg[j]) - lg[x_j] + ((lg_rest - lg[k - j]) - lg[rest_j])) - log_denom
+
+    m = np.full(xs.shape, -math.inf)
+    for j in js:
+        valid = (lo <= j) & (j <= hi)
+        m = np.where(valid, np.maximum(m, log_terms(j)), m)
+    total, carry = np.zeros(xs.shape), np.zeros(xs.shape)
+    for j in js:
+        valid = (lo <= j) & (j <= hi)
+        term = _exp(np.where(valid, log_terms(j) - m, 0.0)) - carry
+        new_total = total + term
+        carry = np.where(valid, (new_total - total) - term, carry)
+        total = np.where(valid, new_total, total)
+    return np.where(m == -math.inf, 0.0, np.minimum(1.0, _exp(m) * total))
 
 
 def hyper_tail(q: TailQuery) -> float:

@@ -39,7 +39,7 @@ from snowsim.machines import (
     fresh_state,
     handle_sample_result,
 )
-from snowsim.sampling import Rng, _tail_raw
+from snowsim.sampling import Rng, _tail_array
 from snowsim.sim.adversaries import Adversary, AdversaryState
 
 
@@ -390,8 +390,8 @@ def _outcome_tables(cfg: NetworkConfig, initial_reds: int) -> tuple[np.ndarray, 
     def win_probabilities(pop: int, reds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # A uniform k-sample of pop nodes, reds of which answer red: red wins
         # with at least a red answers, blue with at least a blue ones.
-        red = np.array([_tail_raw(pop, int(x), k, a) for x in reds])
-        return red, red + np.array([_tail_raw(pop, pop - int(x), k, a) for x in reds])
+        red = _tail_array(pop, reds, k, a)
+        return red, red + _tail_array(pop, pop - reds, k, a)
 
     valid_red, valid_blue = initial_reds > 0, initial_reds < c
     r_excl = np.arange(c)

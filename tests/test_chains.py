@@ -7,6 +7,8 @@ the implementation's product-sum and banded-solve paths.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,9 @@ from snowsim.analysis import (
     ever_hit_probability,
     expected_absorption_time,
     hitting_prob_within,
+    hitting_profile,
 )
+from snowsim.sampling import _tail_raw
 
 
 def dense_matrix(chain: BirthDeathChain) -> np.ndarray:
@@ -120,6 +124,32 @@ class TestConstruction:
         full = build_snowflake_chain(20, 2, 3, 2)
         assert ch.up[10] != full.up[10]  # convention visibly differs
         assert ch.up[10] == pytest.approx((10 / 20) * _tail_ref(21, 10, 3, 2))
+
+    @pytest.mark.parametrize(
+        "c, b, k, a, population",
+        [(c, b, k, a, None) for c, b, k, a in GRID]
+        + [(20, 2, 3, 2, 21), (90, 10, 3, 3, None), (2000, 200, 20, 16, 2199)],
+    )
+    def test_equals_per_state_loop(self, c, b, k, a, population):
+        n = c + b if population is None else population
+        up, down = np.zeros(c + 1), np.zeros(c + 1)
+        for i in range(1, c):
+            up[i] = ((c - i) / c) * _tail_raw(n, i, k, a)
+            down[i] = (i / c) * _tail_raw(n, c - i + b, k, a)
+        ch = build_snowflake_chain(c, b, k, a, population=population)
+        assert np.array_equal(ch.up, up) and np.array_equal(ch.down, down)
+
+    def test_build_memory_is_linear_in_states(self):
+        # 10^4 states with 21-term supports: a states x support table of
+        # log-terms and exponentials alone would take several megabytes.
+        build_snowflake_chain(100, 0, 20, 18)  # warm up lazy allocations
+        tracemalloc.start()
+        try:
+            build_snowflake_chain(10_000, 0, 200, 180)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -260,6 +290,22 @@ class TestHitting:
         # 1999 a state that can never step down blocks every path to 1001.
         ch = build_snowflake_chain(2000, 0, 3, 3)
         assert hitting_prob_within(ch, 1999, 1001, 400_000) == 0.0
+
+    @pytest.mark.parametrize("t", [10_000, 200])
+    def test_profile_equals_plain_step_loop(self, t):
+        # At t = 10 000 the profile reaches its fixed point first and the
+        # iteration stops early; at t = 200 it runs every step.
+        ch = build_snowflake_chain(90, 10, 3, 3)
+        c, target = ch.c, 53
+        stay = 1.0 - ch.up - ch.down
+        f = np.zeros(c + 1)
+        f[: target + 1] = 1.0
+        for _ in range(t):
+            nxt = f.copy()
+            for i in range(target + 1, c):
+                nxt[i] = (ch.down[i] * f[i - 1] + stay[i] * f[i]) + ch.up[i] * f[i + 1]
+            f = nxt
+        assert np.array_equal(hitting_profile(ch, target, t), f)
 
     def test_argument_validation(self):
         ch = build_slush_chain(20, 3, 2)

@@ -45,6 +45,16 @@ class TestParams:
         assert ProtocolParams.from_alpha(k=10, alpha=0.51).a == 6
 
 
+class TestState:
+    def test_mistyped_fields_raise(self):
+        with pytest.raises(TypeError):
+            fresh_state(R)  # the color given where the variant goes
+        with pytest.raises(TypeError):
+            fresh_state(Variant.SNOWBALL, "R")
+        with pytest.raises(TypeError):
+            SnowState(Variant.SLUSH.value)
+
+
 class TestHandleQuery:
     def test_unset_adopts(self):
         s, resp = handle_query(fresh_state(Variant.SLUSH), R)

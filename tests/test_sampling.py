@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from snowsim.sampling import (
     Rng,
     TailQuery,
+    _tail_array,
+    _tail_raw,
     chvatal_tail_bound,
     hoeffding_tail_bound,
     hyper_tail,
@@ -144,6 +146,19 @@ class TestHyperTail:
             assert tail <= chvatal_tail_bound(psi, k) * (1 + 1e-9)
             checked += 1
         assert checked > 100
+
+
+class TestTailArray:
+    @pytest.mark.parametrize(
+        "n, k, a",
+        [(9999, 200, 180), (2399, 10, 8), (99, 3, 3), (7, 7, 4), (50, 50, 26), (40, 1, 1)],
+    )
+    def test_equals_scalar_tail_at_every_x(self, n, k, a):
+        # Clipped supports (x near 0 or n), empty ones (x < a) and the full
+        # sample (k = n) included; equal to the last bit, not approximately.
+        xs = np.arange(n + 1)
+        want = np.array([_tail_raw(n, int(x), k, a) for x in xs])
+        assert np.array_equal(_tail_array(n, xs, k, a), want)
 
 
 class TestBounds:
