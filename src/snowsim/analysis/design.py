@@ -39,7 +39,7 @@ from snowsim.analysis.chains import (
     ever_hit_profile,
     hitting_profile,
 )
-from snowsim.sampling import _log_choose, _tail_raw
+from snowsim.sampling import _kl_bernoulli, _log_choose, _tail_raw
 
 __all__ = [
     "Infeasible",
@@ -252,20 +252,6 @@ def snowball_drift(c: int, b: int, k: int, a: int, delta: int, t: int) -> DriftE
     return DriftExpectation(t * u_red, t * u_blue, t * v_red, t * v_blue)
 
 
-def _kl(alpha: float, q: float) -> float:
-    """Bernoulli KL divergence D(alpha || q) with the alpha -> 0/1 limits."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"support ratio q={q} outside (0, 1)")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha={alpha} outside [0, 1]")
-    terms = 0.0
-    if alpha > 0.0:
-        terms += alpha * math.log(alpha / q)
-    if alpha < 1.0:
-        terms += (1.0 - alpha) * math.log((1.0 - alpha) / (1.0 - q))
-    return terms
-
-
 def snowball_kappa_rate(c: int, b: int, k: int, a: int, delta: int) -> float:
     """Lower bound on the per-round shrink rate of the adversary's margin.
 
@@ -286,7 +272,9 @@ def snowball_kappa_rate(c: int, b: int, k: int, a: int, delta: int) -> float:
     q_plus = (c // 2 + delta + b) / n
     q_minus = (c // 2 - delta + b) / n
     trail = 0.5 - delta / c
-    return trail * (math.exp(-k * _kl(alpha, q_plus)) - math.exp(-k * _kl(alpha, q_minus)))
+    return trail * (
+        math.exp(-k * _kl_bernoulli(alpha, q_plus)) - math.exp(-k * _kl_bernoulli(alpha, q_minus))
+    )
 
 
 def snowball_divergence_time(c: int, b: int, delta: int, eps: float) -> float | Infeasible:
@@ -379,6 +367,12 @@ def feasibility_search(
         raise ValueError(f"need 0 <= b < n; got n={n}, b={b}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps={eps} outside (0, 1)")
+    if phi < 1:
+        raise ValueError("phi must be >= 1")
+    if k is not None and not 1 <= k <= n:
+        raise ValueError(f"sample size k={k} outside [1, {n}]")
+    if max_k < 1:
+        raise ValueError(f"max_k={max_k} must be >= 1")
     c = n - b
     _require_three_correct(c)
     trials = phi // c

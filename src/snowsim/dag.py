@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Container, Iterable, Optional, Sequence
 
-from .sampling import Rng
-
 GENESIS_ID = "genesis"
 
 _ORIGIN_KEY = "origin"
@@ -140,7 +138,7 @@ class DagState:
     vertex's unsettled ancestry (``is_accepted``); ``accepted`` is its memo.
     """
 
-    def __init__(self, genesis_data: bytes = b"") -> None:
+    def __init__(self) -> None:
         self.vertices: dict[str, Vertex] = {}
         self._sets: dict[str, ConflictSet] = {}
         self.queried: set[str] = set()
@@ -152,8 +150,8 @@ class DagState:
         self.settled: set[str] = set()
         self._unsettled: dict[str, None] = {}  # kept in insertion order
         self._settled_tips: set[str] = set()  # settled, with no settled child
-        # (settled vertices where the walk stopped, success, clock) per query
-        self._deferred: list[tuple[tuple[str, ...], bool, int]] = []
+        # (settled vertices where the walk stopped, success) per query
+        self._deferred: list[tuple[tuple[str, ...], bool]] = []
         self._strong: dict[str, bool] = {}
         self.minted: set[str] = set()
         self.clock: int = 0
@@ -164,7 +162,7 @@ class DagState:
         self._nop_catchup: set[str] = set()
         self._nop_checked: dict[str, int] = {}
         self._nop_seq: dict[str, int] = {}
-        self._admit(Vertex(GENESIS_ID, genesis_data, (), _ORIGIN_KEY, chit=1))
+        self._admit(Vertex(GENESIS_ID, b"", (), _ORIGIN_KEY, chit=1))
         self._accept(GENESIS_ID)
 
     @property
@@ -207,13 +205,7 @@ class DagState:
         """Register an externally created spendable output."""
         self.minted.add(utxo)
 
-    def on_generate_tx(
-        self,
-        data: bytes,
-        inputs: Sequence[str],
-        params: DagParams,
-        rng: Rng | None = None,
-    ) -> list[str]:
+    def on_generate_tx(self, data: bytes, inputs: Sequence[str]) -> list[str]:
         """Create one vertex per consumed output and insert them all.
 
         Every vertex of the transaction shares the payload and the parent
@@ -227,7 +219,7 @@ class DagState:
         unknown = [u for u in inputs if u not in self.minted and u not in self.vertices]
         if unknown:
             raise UnknownUtxoError(f"unknown outputs: {unknown}")
-        parents = tuple(sorted(self.parent_selection(FANIN, rng), key=self._seq.__getitem__))
+        parents = tuple(sorted(self.parent_selection(FANIN), key=self._seq.__getitem__))
         ids = []
         for utxo in inputs:
             vtx = make_vertex(data, parents, utxo)
@@ -301,12 +293,13 @@ class DagState:
         # Replay each logged query result on the settled ancestry it
         # reached. A settled vertex is alone in its set and is the set's
         # preferred and last member, so only counter and confidence move.
-        for edge, success, clock in self._deferred:
+        # Its progress clock is not replayed: a settled vertex is accepted,
+        # and no staleness check acts on an accepted vertex.
+        for edge, success in self._deferred:
             for s in self._climb(edge, ()):
                 cs = self._sets[self.vertices[s].conflict_key]
                 if success:
                     self._confidence[s] += 1
-                    self._last_progress[s] = clock
                     cs.cnt += 1
                 else:
                     cs.cnt = 0
@@ -393,7 +386,7 @@ class DagState:
             edge = {p for a in ancestors for p in self.vertices[a].parents if p in self.settled}
         success = yes_votes >= params.a
         if edge:
-            self._deferred.append((tuple(edge), success, self.clock))
+            self._deferred.append((tuple(edge), success))
         if success:
             v.chit = 1
             for aid in ancestors:
@@ -462,16 +455,16 @@ class DagState:
     # ------------------------------------------------------------------
     # growth
 
-    def parent_selection(self, fanin: int, rng: Rng | None = None) -> set[str]:
+    def parent_selection(self, fanin: int) -> set[str]:
         """Pick up to ``fanin`` parents for a fresh transaction.
 
         Eligible vertices are strongly preferred with positive confidence;
         of those, only ones with no eligible child are used, so selection
         sits at the frontier and retreats toward genesis when the frontier
         is contested. Genesis itself always qualifies as a last resort.
-        Without an rng the newest eligible vertices win, deterministically.
-        Settled vertices are always eligible, so only those without a
-        settled child can sit on the frontier.
+        The newest eligible vertices win. Settled vertices are always
+        eligible, so only those without a settled child can sit on the
+        frontier.
         """
         if fanin < 1:
             raise ValueError("parent fan-in must be at least 1")
@@ -487,12 +480,7 @@ class DagState:
             if eligible(vid) and not any(eligible(ch) for ch in self.children[vid])
         ]
         frontier.sort(key=self._seq.__getitem__, reverse=True)
-        if len(frontier) <= fanin:
-            return set(frontier)
-        if rng is None:
-            return set(frontier[:fanin])
-        picks = rng.generator.choice(len(frontier), size=fanin, replace=False)
-        return {frontier[i] for i in picks}
+        return set(frontier[:fanin])
 
     def _pending_cover(self) -> set[str]:
         """Unaccepted vertices that some unresolved query will still bump:

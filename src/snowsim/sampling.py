@@ -215,9 +215,19 @@ def sample_without_replacement(pop_size: int, k: int, rng: Rng) -> set[int]:
     return set(int(i) for i in idx)
 
 
-def _kl_bernoulli(a: float, b: float) -> float:
-    """D(a || b) for Bernoulli parameters, the exponent of the Chernoff bound."""
-    return a * math.log(a / b) + (1.0 - a) * math.log((1.0 - a) / (1.0 - b))
+def _kl_bernoulli(alpha: float, q: float) -> float:
+    """D(alpha || q) for Bernoulli parameters, the exponent of the Chernoff
+    bound, with the alpha -> 0 and alpha -> 1 limits."""
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"q={q} outside (0, 1)")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha={alpha} outside [0, 1]")
+    terms = 0.0
+    if alpha > 0.0:
+        terms += alpha * math.log(alpha / q)
+    if alpha < 1.0:
+        terms += (1.0 - alpha) * math.log((1.0 - alpha) / (1.0 - q))
+    return terms
 
 
 def hoeffding_tail_bound(p: float, psi: float, k: int) -> float:

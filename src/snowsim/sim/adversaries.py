@@ -39,7 +39,6 @@ class AdversaryState:
 
     strategy: Adversary
     c: int
-    b: int
     valid_red: bool
     valid_blue: bool
     byz_colors: list[Color] = field(default_factory=list)
@@ -50,7 +49,7 @@ class AdversaryState:
         c = len(initial_colors)
         valid_red = Color.RED in initial_colors
         valid_blue = Color.BLUE in initial_colors
-        adv = cls(strategy, c, b, valid_red, valid_blue)
+        adv = cls(strategy, c, valid_red, valid_blue)
         if strategy is Adversary.NONE:
             # Split the adversary's own proposals as evenly as the
             # proposed value set allows.

@@ -200,12 +200,12 @@ def run_avalanche(cfg: AvalancheConfig) -> AvalancheOutcome:
                 ids = []
                 for who, tag in ((first, b"a"), (second, b"b")):
                     dags[who].mint_utxo(utxo)
-                    ids += dags[who].on_generate_tx(b"tx%d/%s" % (next_index, tag), [utxo], p)
+                    ids += dags[who].on_generate_tx(b"tx%d/%s" % (next_index, tag), [utxo])
                 issued.append(IssuedTx(next_index, tuple(ids), r, True))
             else:
                 who = int(gen.integers(c))
                 dags[who].mint_utxo(utxo)
-                ids = dags[who].on_generate_tx(b"tx%d" % next_index, [utxo], p)
+                ids = dags[who].on_generate_tx(b"tx%d" % next_index, [utxo])
                 issued.append(IssuedTx(next_index, tuple(ids), r, False))
             next_index += 1
 

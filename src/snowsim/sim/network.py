@@ -6,16 +6,18 @@ divided by the number of correct nodes give per-node iterations, the unit
 the convergence tables use.
 
 Two engines implement the same semantics. The scalar functions
-(:func:`run_slush`, :func:`run_snow`) drive the pure state machines one
-query at a time, modelling response collection mechanically (refusing
-nodes are skipped and replaced by further sampling). The batch functions
-run thousands of trials at once on numpy arrays. :func:`run_snow_batch`
-steps every live trial round by round. A query has three outcomes (red
-win, blue win, fail), and their exact probabilities depend only on the red
-count, the querier's color and, for the balance-keeper, its assignment,
-because responders never change state and co-strategic Byzantine nodes
-all answer alike in any given round. So the engine tabulates them once
-per run from the hypergeometric distribution, and each round draws two
+(:func:`run_slush`, :func:`run_snow`) are entry points to one scheduler
+loop that drives the pure state machines one query at a time, modelling
+response collection mechanically (refusing nodes are skipped and
+replaced by further sampling); the variants differ only in their node
+state and in when the run stops. The batch functions run thousands of
+trials at once on numpy arrays. :func:`run_snow_batch` steps every live
+trial round by round. A query has three outcomes (red win, blue win,
+fail), and their exact probabilities depend only on the red count, the
+querier's color and, for the balance-keeper, its assignment, because
+responders never change state and co-strategic Byzantine nodes all
+answer alike in any given round. So the engine tabulates them once per
+run from the hypergeometric distribution, and each round draws two
 uniforms per live trial (trials with an undecided node): one picks the
 node, the other reads its query's outcome off the tables. Messages are k
 per query.
@@ -95,16 +97,6 @@ class RunOutcome:
     pick_counts: tuple[int, ...]
 
 
-def _initial_colors(c: int, initial_reds: int) -> list[Color]:
-    if not 0 <= initial_reds <= c:
-        raise ValueError("initial red count out of range")
-    return [Color.RED] * initial_reds + [Color.BLUE] * (c - initial_reds)
-
-
-def _violation(decisions: tuple[Color | None, ...]) -> bool:
-    return Color.RED in decisions and Color.BLUE in decisions
-
-
 def _collect_responses(
     gen: np.random.Generator,
     u: int,
@@ -141,6 +133,68 @@ def _collect_responses(
     return {Color.RED: reds, Color.BLUE: k - reds}
 
 
+def _run_scalar(cfg: NetworkConfig, variant: Variant, initial_reds: int) -> RunOutcome:
+    """The scheduler loop of every variant, one query at a time.
+
+    Each round picks a correct node uniformly. The deciding variants then
+    draw the round's tie coin, and a pick of a decided node consumes the
+    round without a query. Slush stops at unanimity, the deciding variants
+    once every correct node has decided, and all of them at ``phi``.
+    """
+    if not 0 <= initial_reds <= cfg.c:
+        raise ValueError("initial red count out of range")
+    c, k = cfg.c, cfg.params.k
+    slush = variant is Variant.SLUSH
+    colors = [Color.RED] * initial_reds + [Color.BLUE] * (c - initial_reds)
+    states = [fresh_state(variant, col) for col in colors]
+    adv = AdversaryState.create(cfg.adversary, colors, cfg.b)
+    gen = Rng(cfg.seed).generator
+    red_count = initial_reds
+    picks = [0] * c
+    messages = decided_n = rounds_used = 0
+    unanimity: int | None = None
+    unanimity_color: Color | None = None
+
+    def skew(v: int, toward: Color) -> int:
+        s = states[v]
+        if variant is Variant.SNOWBALL:
+            return s.confidence(toward) - s.confidence(toward.other())
+        return s.cnt if s.col is toward else -s.cnt
+
+    while True:
+        if unanimity is None and red_count in (0, c):
+            unanimity = rounds_used
+            unanimity_color = Color.RED if red_count == c else Color.BLUE
+        if rounds_used == cfg.phi or (unanimity is not None if slush else decided_n == c):
+            break
+        rounds_used += 1
+        u = int(gen.integers(c))
+        picks[u] += 1
+        tie_coin_red = not slush and gen.random() < 0.5
+        old = states[u]
+        if old.decided is not None:
+            continue
+        counts = _collect_responses(gen, u, cfg.n, c, k, colors, adv, red_count, tie_coin_red)
+        new = states[u] = handle_sample_result(old, cfg.params, counts)
+        messages += k
+        if new.col is not old.col:
+            red_count += 1 if new.col is Color.RED else -1
+            colors[u] = new.col
+            adv.notify_flip(u, new.col, skew)
+        decided_n += new.decided is not None
+    decisions = tuple(s.decided for s in states)
+    return RunOutcome(
+        rounds_used=rounds_used,
+        per_node_iterations=rounds_used / c,
+        decisions=decisions,
+        safety_violation=Color.RED in decisions and Color.BLUE in decisions,
+        messages_sent=messages,
+        unanimity_round=unanimity,
+        unanimity_color=unanimity_color,
+        pick_counts=tuple(picks),
+    )
+
+
 def run_slush(cfg: NetworkConfig, initial_reds: int) -> RunOutcome:
     """Scalar run of the memoryless protocol until unanimity or the budget.
 
@@ -149,47 +203,7 @@ def run_slush(cfg: NetworkConfig, initial_reds: int) -> RunOutcome:
     """
     if cfg.b != 0:
         raise ValueError("this protocol assumes every node is correct")
-    c, k = cfg.c, cfg.params.k
-    colors = _initial_colors(c, initial_reds)
-    states = [fresh_state(Variant.SLUSH, col) for col in colors]
-    gen = Rng(cfg.seed).generator
-    adv = AdversaryState.create(Adversary.NONE, colors, 0)
-    red_count = initial_reds
-    picks = [0] * c
-    messages = 0
-    unanimity: int | None = 0 if red_count in (0, c) else None
-    rounds_used = 0
-    if unanimity is None:
-        for r in range(1, cfg.phi + 1):
-            u = int(gen.integers(c))
-            picks[u] += 1
-            counts = _collect_responses(gen, u, cfg.n, c, k, colors, adv, red_count, False)
-            new = handle_sample_result(states[u], cfg.params, counts)
-            messages += k
-            if new.col is not states[u].col:
-                red_count += 1 if new.col is Color.RED else -1
-                colors[u] = new.col
-            states[u] = new
-            rounds_used = r
-            if red_count in (0, c):
-                unanimity = r
-                break
-        else:
-            rounds_used = cfg.phi
-    if unanimity is None:
-        unanimity_color = None
-    else:
-        unanimity_color = Color.RED if red_count == c else Color.BLUE
-    return RunOutcome(
-        rounds_used=rounds_used,
-        per_node_iterations=rounds_used / c,
-        decisions=(None,) * c,
-        safety_violation=False,
-        messages_sent=messages,
-        unanimity_round=unanimity,
-        unanimity_color=unanimity_color,
-        pick_counts=tuple(picks),
-    )
+    return _run_scalar(cfg, Variant.SLUSH, initial_reds)
 
 
 def run_snow(cfg: NetworkConfig, variant: Variant, initial_reds: int) -> RunOutcome:
@@ -201,63 +215,7 @@ def run_snow(cfg: NetworkConfig, variant: Variant, initial_reds: int) -> RunOutc
     """
     if variant not in (Variant.SNOWFLAKE, Variant.SNOWBALL):
         raise ValueError("scalar snow runs cover the deciding variants only")
-    c, k = cfg.c, cfg.params.k
-    colors = _initial_colors(c, initial_reds)
-    states = [fresh_state(variant, col) for col in colors]
-    adv = AdversaryState.create(cfg.adversary, colors, cfg.b)
-    gen = Rng(cfg.seed).generator
-    red_count = initial_reds
-    picks = [0] * c
-    messages = 0
-    decided_n = 0
-    unanimity: int | None = 0 if red_count in (0, c) else None
-    unanimity_color: Color | None = None
-    if unanimity == 0:
-        unanimity_color = Color.RED if red_count == c else Color.BLUE
-    rounds_used = cfg.phi
-
-    def skew(v: int, toward: Color) -> int:
-        s = states[v]
-        if variant is Variant.SNOWBALL:
-            return s.confidence(toward) - s.confidence(toward.other())
-        return s.cnt if s.col is toward else -s.cnt
-
-    for r in range(1, cfg.phi + 1):
-        u = int(gen.integers(c))
-        picks[u] += 1
-        tie_coin_red = bool(gen.random() < 0.5)
-        if states[u].decided is not None:
-            continue
-        counts = _collect_responses(
-            gen, u, cfg.n, c, k, colors, adv, red_count, tie_coin_red
-        )
-        old = states[u]
-        new = handle_sample_result(old, cfg.params, counts)
-        states[u] = new
-        messages += k
-        if new.col is not old.col:
-            red_count += 1 if new.col is Color.RED else -1
-            colors[u] = new.col
-            adv.notify_flip(u, new.col, skew)
-        if unanimity is None and red_count in (0, c):
-            unanimity = r
-            unanimity_color = Color.RED if red_count == c else Color.BLUE
-        if new.decided is not None:
-            decided_n += 1
-            if decided_n == c:
-                rounds_used = r
-                break
-    decisions = tuple(s.decided for s in states)
-    return RunOutcome(
-        rounds_used=rounds_used,
-        per_node_iterations=rounds_used / c,
-        decisions=decisions,
-        safety_violation=_violation(decisions),
-        messages_sent=messages,
-        unanimity_round=unanimity,
-        unanimity_color=unanimity_color,
-        pick_counts=tuple(picks),
-    )
+    return _run_scalar(cfg, variant, initial_reds)
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,23 @@ class TestDesign:
         assert rc in (EXIT_OK, EXIT_INFEASIBLE)
         json.loads(capsys.readouterr().out)
 
+    @pytest.mark.parametrize(
+        "flags, word",
+        [
+            (["--phi", "-5"], "phi"),
+            (["--phi", "0"], "phi"),
+            (["--k", "0"], "k=0"),
+            (["--k", "101"], "k=101"),
+            (["--max-k", "0"], "max_k"),
+        ],
+    )
+    def test_malformed_input_is_a_usage_error(self, capsys, flags, word):
+        rc = main(["design", "--n", "100", "--b", "10", *flags])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert word in captured.err
+
     def test_impossible_split_exits_one_with_reason(self, tmp_path, capsys):
         rc = main(
             ["design", "--n", "100", "--b", "49", "--eps", "1e-6",

@@ -19,7 +19,6 @@ from snowsim.dag import (
     Vertex,
     make_vertex,
 )
-from snowsim.sampling import Rng
 
 UNIT = DagParams(k=1, a=1, beta1=2, beta2=3)
 
@@ -139,7 +138,7 @@ class TestGenerate:
         dag = DagState()
         dag.mint_utxo("in1")
         dag.mint_utxo("in2")
-        ids = dag.on_generate_tx(b"pay", ["in1", "in2"], UNIT)
+        ids = dag.on_generate_tx(b"pay", ["in1", "in2"])
         assert len(ids) == 2
         v1, v2 = (dag.vertices[i] for i in ids)
         assert v1.data == v2.data == b"pay"
@@ -150,8 +149,8 @@ class TestGenerate:
     def test_double_spend_shares_a_set(self):
         dag = DagState()
         dag.mint_utxo("coin")
-        (a,) = dag.on_generate_tx(b"first", ["coin"], UNIT)
-        (b,) = dag.on_generate_tx(b"second", ["coin"], UNIT)
+        (a,) = dag.on_generate_tx(b"first", ["coin"])
+        (b,) = dag.on_generate_tx(b"second", ["coin"])
         assert a != b
         assert set(dag.conflict_sets["coin"].members) == {a, b}
         assert dag.conflict_sets["coin"].pref == a
@@ -159,26 +158,26 @@ class TestGenerate:
     def test_identical_transaction_is_idempotent(self):
         dag = DagState()
         dag.mint_utxo("coin")
-        first = dag.on_generate_tx(b"pay", ["coin"], UNIT)
-        again = dag.on_generate_tx(b"pay", ["coin"], UNIT)
+        first = dag.on_generate_tx(b"pay", ["coin"])
+        again = dag.on_generate_tx(b"pay", ["coin"])
         assert first == again
         assert len(dag.conflict_sets["coin"].members) == 1
 
     def test_vertex_ids_are_spendable(self):
         dag = DagState()
-        (vid,) = dag.on_generate_tx(b"a", [GENESIS_ID], UNIT)
-        (child,) = dag.on_generate_tx(b"b", [vid], UNIT)
+        (vid,) = dag.on_generate_tx(b"a", [GENESIS_ID])
+        (child,) = dag.on_generate_tx(b"b", [vid])
         assert dag.vertices[child].conflict_key == vid
 
     def test_input_validation(self):
         dag = DagState()
         dag.mint_utxo("coin")
         with pytest.raises(UnknownUtxoError):
-            dag.on_generate_tx(b"", [], UNIT)
+            dag.on_generate_tx(b"", [])
         with pytest.raises(UnknownUtxoError):
-            dag.on_generate_tx(b"", ["coin", "coin"], UNIT)
+            dag.on_generate_tx(b"", ["coin", "coin"])
         with pytest.raises(UnknownUtxoError):
-            dag.on_generate_tx(b"", ["nope"], UNIT)
+            dag.on_generate_tx(b"", ["nope"])
 
     def test_make_vertex_hash_is_stable_and_field_sensitive(self):
         base = make_vertex(b"d", ("p1", "p2"), "u")
@@ -234,8 +233,8 @@ class TestQueryResolution:
     def test_preference_flips_when_confidence_overtakes(self):
         dag = DagState()
         dag.mint_utxo("coin")
-        (a,) = dag.on_generate_tx(b"first", ["coin"], UNIT)
-        (b,) = dag.on_generate_tx(b"second", ["coin"], UNIT)
+        (a,) = dag.on_generate_tx(b"first", ["coin"])
+        (b,) = dag.on_generate_tx(b"second", ["coin"])
         assert dag.conflict_sets["coin"].pref == a
         dag.record_query_result(b, 1, UNIT)
         cs = dag.conflict_sets["coin"]
@@ -359,15 +358,6 @@ class TestParentSelection:
         assert dag.parent_selection(2) == {"B", "C"}
         assert dag.parent_selection(3) == {"A", "B", "C"}
 
-    def test_rng_choice_is_reproducible_subset(self):
-        dag = DagState()
-        for vid in ("A", "B", "C", "D"):
-            dag.on_receive_tx(Vertex(vid, b"", (GENESIS_ID,), f"u{vid}"))
-            dag.record_query_result(vid, 1, UNIT)
-        picks = dag.parent_selection(2, Rng(7))
-        assert picks <= {"A", "B", "C", "D"} and len(picks) == 2
-        assert picks == dag.parent_selection(2, Rng(7))
-
     def test_fanin_validation(self):
         with pytest.raises(ValueError):
             DagState().parent_selection(0)
@@ -465,7 +455,7 @@ def run_history(pool: int, ops: list[tuple[int, bool]], honest: bool = False) ->
     for u in range(pool):
         dag.mint_utxo(f"u{u}")
     for i, (u, vote) in enumerate(ops):
-        ids = dag.on_generate_tx(f"tx{i}".encode(), [f"u{u}"], UNIT)
+        ids = dag.on_generate_tx(f"tx{i}".encode(), [f"u{u}"])
         for vid in ids:
             if honest:
                 yes = int(dag.is_strongly_preferred(vid))
@@ -502,7 +492,7 @@ class TestGeneratedHistories:
         granted: set[str] = set()
         low_water = {GENESIS_ID: 1}
         for i, (u, vote) in enumerate(ops):
-            ids = dag.on_generate_tx(f"tx{i}".encode(), [f"u{u}"], UNIT)
+            ids = dag.on_generate_tx(f"tx{i}".encode(), [f"u{u}"])
             for vid in ids:
                 low_water[vid] = 0
                 dag.record_query_result(vid, int(vote), UNIT)
@@ -534,7 +524,7 @@ class TestGeneratedHistories:
         for u in range(3):
             dag.mint_utxo(f"u{u}")
         for i, (u, _) in enumerate(ops):
-            ids = dag.on_generate_tx(f"tx{i}".encode(), [f"u{u}"], UNIT)
+            ids = dag.on_generate_tx(f"tx{i}".encode(), [f"u{u}"])
             for vid in ids:
                 dag.record_query_result(vid, int(dag.is_strongly_preferred(vid)), UNIT)
             for cs in dag.conflict_sets.values():
@@ -692,7 +682,7 @@ class TestCachesAgainstWalks:
                     dag.on_receive_tx(Vertex(vid, b"", (losers[pick % len(losers)],), f"k{i}"))
                 else:
                     spend = f"u{pick % 2}" if pick < 12 else known[pick % len(known)]
-                    (vid,) = dag.on_generate_tx(b"tx%d" % i, [spend], FAST)
+                    (vid,) = dag.on_generate_tx(b"tx%d" % i, [spend])
                 yes = int(dag.is_strongly_preferred(vid)) if kind == 0 else int(vote)
                 dag.record_query_result(vid, yes, FAST)
                 shadow.record(dag, vid, yes >= FAST.a)
@@ -730,15 +720,15 @@ class TestCachesAgainstWalks:
             assert_caches_exact(dag, shadow)
 
         dag.mint_utxo("coin")
-        (a,) = dag.on_generate_tx(b"a", ["coin"], FAST)
+        (a,) = dag.on_generate_tx(b"a", ["coin"])
         query(a, 1)
-        (b,) = dag.on_generate_tx(b"b", [a], FAST)
+        (b,) = dag.on_generate_tx(b"b", [a])
         query(b, 1)
         assert dag.vertices[b].parents == (a,)
         dag.is_accepted(b, FAST.beta1, FAST.beta2)
         assert dag.settled == {GENESIS_ID, a, b}
         # A result reaching only settled vertices is applied when read.
-        (c,) = dag.on_generate_tx(b"c", [b], FAST)
+        (c,) = dag.on_generate_tx(b"c", [b])
         query(c, 0)
         dag.on_receive_tx(Vertex("rival", b"", (GENESIS_ID,), "coin"))
         assert dag.settled == {GENESIS_ID}
@@ -757,12 +747,12 @@ class TestCachesAgainstWalks:
     def test_settled_vertices_stay_on_the_frontier_until_they_have_a_settled_child(self):
         dag = DagState()
         dag.mint_utxo("coin")
-        (a,) = dag.on_generate_tx(b"a", ["coin"], FAST)
+        (a,) = dag.on_generate_tx(b"a", ["coin"])
         dag.record_query_result(a, 1, FAST)
         dag.is_accepted(a, FAST.beta1, FAST.beta2)
         assert a in dag.settled
         assert dag.parent_selection(2) == {a}
-        (b,) = dag.on_generate_tx(b"b", [a], FAST)
+        (b,) = dag.on_generate_tx(b"b", [a])
         # b has no chit yet, so a stays the only eligible frontier vertex.
         assert dag.parent_selection(2) == {a}
         dag.record_query_result(b, 1, FAST)

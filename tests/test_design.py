@@ -248,6 +248,21 @@ class TestFeasibilitySearch:
     def test_excessive_byzantine_share_infeasible(self):
         assert isinstance(feasibility_search(100, 49, 1e-6, 10**4, max_k=16), Infeasible)
 
+    @pytest.mark.parametrize(
+        "phi, kw, match",
+        [
+            (0, {}, "phi"),
+            (-5, {}, "phi"),
+            (10**4, {"k": 0}, r"k=0 outside \[1, 100\]"),
+            (10**4, {"k": 101}, r"k=101 outside \[1, 100\]"),
+            (10**4, {"max_k": 0}, "max_k"),
+        ],
+    )
+    def test_malformed_search_inputs_raise(self, phi, kw, match):
+        # Malformed input is an error, not an infeasible design.
+        with pytest.raises(ValueError, match=match):
+            feasibility_search(100, 10, 1e-6, phi, **kw)
+
     def test_fewer_than_three_correct_nodes_rejected(self):
         # No state lies strictly between the phase shift and unanimity.
         with pytest.raises(ValueError, match=r"c = n - b >= 3 correct nodes; got c=2"):

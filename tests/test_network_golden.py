@@ -1,14 +1,20 @@
 """Golden fixed-seed outputs of the scalar engine, ``run_slush`` and ``run_snow``.
 
 Each case pins the whole ``RunOutcome`` of one configuration, start and
-seed as the sha256 of a canonical JSON rendering. The cases cover Slush
-from a split, a unanimous and a frozen start (the last runs to ``phi``),
-both deciding variants under every adversary, a balance-keeper run whose
-partition is rebalanced after flips, and a minority-push run from an even
-split, where the tie coin picks the pushed color. The digests were recorded
-while Slush and the deciding variants still had separate scheduler loops;
-any refactor of the scalar engine that claims to be exact must reproduce
-them.
+seed as the sha256 of a canonical JSON rendering. The cases cover:
+
+- Slush from a split, a unanimous and a frozen start (the last runs to
+  ``phi``);
+- both deciding variants under every adversary;
+- a balance-keeper run whose partition is rebalanced after flips;
+- a minority-push run from an even split, where the tie coin picks the
+  pushed color;
+- a minority-push run that is unanimous for red and then decides blue, so
+  ``unanimity_color`` must be the color held in the round of unanimity.
+
+The digests were recorded while Slush and the deciding variants still had
+separate scheduler loops; any refactor of the scalar engine that claims to
+be exact must reproduce them.
 """
 
 from __future__ import annotations
@@ -83,6 +89,13 @@ SNOW_CASES = {
              adversary=Adversary.BALANCE_KEEPER, seed=8),
         4,
         "afd4afa65c391f27013273fdfa2ef4702ad71045eb8563991e162dcfe62c09fa",
+    ),
+    "moves-after-unanimity": (
+        Variant.SNOWFLAKE,
+        dict(n=13, b=3, params=ProtocolParams(k=3, a=2, beta=6), phi=20_000,
+             adversary=Adversary.MINORITY_PUSH, seed=1),
+        5,
+        "306f8e47599b7851a051d84a15865ec02a87a3c5808138fc861ecfb75d936094",
     ),
     "minority-push-tie-coin": (
         Variant.SNOWFLAKE,

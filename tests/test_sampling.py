@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from snowsim.sampling import (
     Rng,
     TailQuery,
+    _kl_bernoulli,
     _tail_array,
     _tail_raw,
     chvatal_tail_bound,
@@ -165,6 +166,15 @@ class TestBounds:
     def test_kl_anchor(self):
         d = 0.7 * math.log(0.7 / 0.8) + 0.3 * math.log(0.3 / 0.2)
         assert hoeffding_tail_bound(0.8, 0.1, 10) == pytest.approx(math.exp(-10 * d))
+
+    def test_kl_endpoint_limits_and_domain(self):
+        # At alpha = 0 or 1 only one term survives; 0 log 0 is taken as 0.
+        assert _kl_bernoulli(0.0, 0.25) == math.log(1 / 0.75)
+        assert _kl_bernoulli(1.0, 0.25) == math.log(1 / 0.25)
+        assert _kl_bernoulli(0.25, 0.25) == 0.0
+        for alpha, q in ((0.5, 0.0), (0.5, 1.0), (-0.1, 0.5), (1.1, 0.5)):
+            with pytest.raises(ValueError):
+                _kl_bernoulli(alpha, q)
 
     def test_zero_deviation_limit(self):
         # D(p, p) = 0, so the bound degenerates to 1 as psi -> 0.
