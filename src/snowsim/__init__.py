@@ -23,7 +23,6 @@ from snowsim.sampling import (
     chvatal_tail_bound,
     hoeffding_tail_bound,
     hyper_tail,
-    sample_without_replacement,
 )
 
 __version__ = "0.1.0"
@@ -32,7 +31,6 @@ __all__ = [
     "Rng",
     "TailQuery",
     "hyper_tail",
-    "sample_without_replacement",
     "hoeffding_tail_bound",
     "chvatal_tail_bound",
     "DagState",

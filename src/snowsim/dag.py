@@ -11,16 +11,16 @@ confidence is the count of chits in its reflexive progeny. Parent edges
 entangle contests, because a positive vote for a vertex endorses its
 entire ancestry, so one query advances many contests at once.
 
-A ``DagState`` is single-owner and mutable. Operations mutate in place
-and raise on misuse: unknown ids, missing parents, repeated queries.
+A ``Vertex`` is immutable and shared between replicas. A ``DagState``
+is single-owner and mutable. Operations mutate in place and raise on
+misuse: unknown ids, missing parents, repeated queries.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Container, Iterable, Optional, Sequence
 
 GENESIS_ID = "genesis"
@@ -69,28 +69,20 @@ class DagParams:
         if self.beta2 < self.beta1:
             raise ValueError("beta2 must be at least beta1")
 
-    @classmethod
-    def from_alpha(cls, k: int, alpha: float, beta1: int, beta2: int) -> "DagParams":
-        """Build params with the quorum given as a fraction of the sample."""
-        if not 0.5 < alpha <= 1.0:
-            raise ValueError("alpha must lie in (1/2, 1]")
-        return cls(k=k, a=math.ceil(alpha * k), beta1=beta1, beta2=beta2)
 
-
-@dataclass
+@dataclass(frozen=True)
 class Vertex:
-    """One (transaction, consumed output) pair.
+    """One (transaction, consumed output) pair, immutable and fixed by its id.
 
     ``conflict_key`` names the consumed output; all spenders of that
-    output share one conflict set. ``chit`` moves 0 -> 1 at most once,
-    when the vertex's single query round reaches quorum.
+    output share one conflict set. Replicas store the delivered object
+    itself and record their own votes on it in ``DagState.chits``.
     """
 
     id: str
     data: bytes
     parents: tuple[str, ...]
     conflict_key: str
-    chit: int = 0
 
 
 @dataclass
@@ -120,9 +112,11 @@ def make_vertex(data: bytes, parents: Sequence[str], conflict_key: str) -> Verte
 class DagState:
     """Single-owner DAG replica: vertices, conflict sets, and caches.
 
-    The genesis vertex exists from birth with a fixed chit of 1, so it is
-    always confident, always preferred, and always an eligible parent of
-    last resort. Its own id doubles as the first spendable output.
+    ``vertices`` holds ``Vertex`` objects shared with other replicas;
+    ``chits`` holds the ones this replica granted its chit. The genesis
+    vertex has a chit from birth, so it is always confident, always
+    preferred, and always an eligible parent of last resort. Its own id
+    doubles as the first spendable output.
 
     Work is bounded by the unsettled part of the replica. A vertex is
     *settled* once it is accepted, alone in its conflict set and all its
@@ -142,6 +136,7 @@ class DagState:
         self.vertices: dict[str, Vertex] = {}
         self._sets: dict[str, ConflictSet] = {}
         self.queried: set[str] = set()
+        self.chits: set[str] = {GENESIS_ID}
         self._confidence: dict[str, int] = {}
         self.children: dict[str, list[str]] = {}
         self.accepted: set[str] = set()
@@ -162,7 +157,7 @@ class DagState:
         self._nop_catchup: set[str] = set()
         self._nop_checked: dict[str, int] = {}
         self._nop_seq: dict[str, int] = {}
-        self._admit(Vertex(GENESIS_ID, b"", (), _ORIGIN_KEY, chit=1))
+        self._admit(Vertex(GENESIS_ID, b"", (), _ORIGIN_KEY))
         self._accept(GENESIS_ID)
 
     @property
@@ -181,7 +176,7 @@ class DagState:
         self.children[v.id] = []
         for p in v.parents:
             self.children[p].append(v.id)
-        self._confidence[v.id] = v.chit
+        self._confidence[v.id] = int(v.id in self.chits)
         self._last_progress[v.id] = self.clock
         self._unsettled[v.id] = None
         cs = self._sets.get(v.conflict_key)
@@ -199,7 +194,7 @@ class DagState:
         missing = [p for p in v.parents if p not in self.vertices]
         if missing:
             raise MissingDependencyError(f"parents not yet delivered: {missing}")
-        self._admit(replace(v, chit=0))
+        self._admit(v)
 
     def mint_utxo(self, utxo: str) -> None:
         """Register an externally created spendable output."""
@@ -367,16 +362,15 @@ class DagState:
     def record_query_result(self, tid: str, yes_votes: int, params: DagParams) -> None:
         """Apply the outcome of ``tid``'s one query round.
 
-        At quorum the vertex earns its chit and every reflexive ancestor's
+        At quorum the vertex joins ``chits`` and every reflexive ancestor's
         conflict set updates preference and its consecutive counter; below
-        quorum the chit stays 0 forever and those counters reset. Settled
+        quorum it never earns a chit here and those counters reset. Settled
         ancestors receive the outcome when they are next read.
         """
         if tid not in self.vertices:
             raise KeyError(tid)
         if tid in self.queried:
             raise RequeryError(f"{tid} was already queried")
-        v = self.vertices[tid]
         self.queried.add(tid)
         self.clock += 1
         if tid in self.settled:
@@ -388,7 +382,7 @@ class DagState:
         if edge:
             self._deferred.append((tuple(edge), success))
         if success:
-            v.chit = 1
+            self.chits.add(tid)
             for aid in ancestors:
                 self._confidence[aid] += 1
                 self._last_progress[aid] = self.clock
@@ -537,7 +531,7 @@ class DagState:
             seq += 1
         self._nop_seq[tid] = seq + 1
         self.on_receive_tx(nop)
-        return self.vertices[nop.id]
+        return nop
 
     def emit_nops(self, params: DagParams) -> list[Vertex]:
         """One staleness sweep over the unsettled vertices; returns inserted
@@ -586,7 +580,7 @@ class DagState:
                         "id": v.id,
                         "parents": list(v.parents),
                         "conflict_key": v.conflict_key,
-                        "chit": v.chit,
+                        "chit": int(vid in self.chits),
                         "confidence": self._confidence[vid],
                     },
                     separators=(",", ":"),

@@ -38,7 +38,6 @@ __all__ = [
     "ProtocolParams",
     "SnowState",
     "fresh_state",
-    "handle_query",
     "handle_sample_result",
 ]
 
@@ -84,7 +83,9 @@ class ProtocolParams:
 
     @classmethod
     def from_alpha(cls, k: int, alpha: float, beta: int = 1) -> "ProtocolParams":
-        """The canonical fractional form: a = ceil(alpha * k), alpha > 0.5."""
+        """The canonical fractional form: a = ceil(alpha * k), 1/2 < alpha <= 1."""
+        if not 0.5 < alpha <= 1.0:
+            raise ValueError(f"alpha={alpha} must lie in (1/2, 1]")
         return cls(k=k, a=math.ceil(alpha * k), beta=beta)
 
 
@@ -128,20 +129,6 @@ class SnowState:
 def fresh_state(variant: Variant, col: Color = Color.UNSET) -> SnowState:
     """A node before any protocol event, optionally pre-colored."""
     return SnowState(variant=variant, col=col)
-
-
-def handle_query(state: SnowState, incoming: Color) -> tuple[SnowState, Color]:
-    """React to an incoming query carrying the querier's color.
-
-    An uncolored node adopts the incoming color; a colored node is unchanged.
-    Either way the response is the node's (possibly just adopted) color.
-    """
-    if incoming is Color.UNSET:
-        raise ValueError("a query always carries a concrete color")
-    if state.col is Color.UNSET:
-        adopted = replace(state, col=incoming)
-        return adopted, incoming
-    return state, state.col
 
 
 def _winning_color(counts: Mapping[Color, int], params: ProtocolParams) -> Color | None:

@@ -45,8 +45,6 @@ __all__ = [
     "TailQuery",
     "Rng",
     "hyper_tail",
-    "hypergeom_pmf",
-    "sample_without_replacement",
     "hoeffding_tail_bound",
     "chvatal_tail_bound",
 ]
@@ -193,26 +191,6 @@ def hyper_tail(q: TailQuery) -> float:
     module docstring for how.
     """
     return _tail_raw(q.population_n, q.successes_x, q.sample_k, q.threshold_a)
-
-
-def hypergeom_pmf(n: int, x: int, k: int, j: int) -> float:
-    """P(exactly ``j`` of the ``k``-sample hold the color), the exact ratio
-    C(x, j) C(n-x, k-j) / C(n, k) rounded once; building block."""
-    if not 0 <= x <= n or not 0 <= k <= n:
-        raise ValueError(f"invalid hypergeometric parameters n={n}, x={x}, k={k}")
-    if not 0 <= j <= k:
-        return 0.0
-    return math.comb(x, j) * math.comb(n - x, k - j) / math.comb(n, k)
-
-
-def sample_without_replacement(pop_size: int, k: int, rng: Rng) -> set[int]:
-    """A uniform ``k``-subset of ``range(pop_size)``, deterministic given rng."""
-    if k > pop_size:
-        raise ValueError(f"cannot sample {k} from population of {pop_size}")
-    if k == 0:
-        return set()
-    idx = rng.generator.choice(pop_size, size=k, replace=False)
-    return set(int(i) for i in idx)
 
 
 def _kl_bernoulli(alpha: float, q: float) -> float:

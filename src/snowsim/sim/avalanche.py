@@ -1,6 +1,7 @@
 """Round-based runner for DAG consensus over many replicas.
 
-Each correct node keeps a full ``DagState`` replica. One round is one
+Each correct node keeps a ``DagState`` replica; replicas share the
+immutable vertex objects and keep their own votes. One round is one
 node's turn (round-robin): it picks its oldest unresolved vertex, queries
 k peers sampled uniformly from the rest of the network, and folds the
 votes in. Byzantine peers withhold their votes, which counts as a no,
@@ -149,8 +150,7 @@ class AvalancheOutcome:
 
 def _deliver_ancestry(src: DagState, dst: DagState, tid: str) -> None:
     # Only what the receiver lacks, oldest first, which satisfies
-    # parent-before-child on arrival; the receiver stores its own copies,
-    # never the source's objects.
+    # parent-before-child on arrival.
     if tid not in dst.vertices:
         for aid in src.reflexive_ancestors(tid, dst.vertices):
             dst.on_receive_tx(src.vertices[aid])

@@ -65,6 +65,8 @@ class NetworkConfig:
             raise ValueError("need at least two correct nodes")
         if self.phi < 1:
             raise ValueError("round budget must be positive")
+        if max(self.phi, self.params.beta) > np.iinfo(np.int64).max:
+            raise ValueError(f"phi={self.phi} and beta={self.params.beta} must fit int64 counters")
         if self.params.k > self.n - 1:
             raise ValueError("sample size exceeds the rest of the network")
         refusing = (Adversary.REFUSE, Adversary.MINORITY_PUSH)

@@ -242,7 +242,7 @@ def test_6_liveness_properties():
             assert int(batch.blue_decisions.sum()) == 0, f"{label}: flipped a unanimous start"
             assert int(batch.safety_violation.sum()) == 0, label
 
-    dag_params = DagParams.from_alpha(10, 0.8, beta1=11, beta2=150)
+    dag_params = DagParams(k=10, a=8, beta1=11, beta2=150)
     cfg = AvalancheConfig(
         n=100, b=0, params=dag_params, rounds=100 * 110, seed=1, tx_count=40
     )
@@ -295,7 +295,7 @@ def test_8_message_complexity_stays_flat():
     and shows no growth trend across acceptance-time windows (regression
     slope indistinguishable from zero at 95%). Under five minutes."""
     t0 = time.perf_counter()
-    params = DagParams.from_alpha(10, 0.8, beta1=11, beta2=150)
+    params = DagParams(k=10, a=8, beta1=11, beta2=150)
     cfg = AvalancheConfig(
         n=100, b=0, params=params, rounds=100 * 330, seed=1, tx_interval=200
     )

@@ -4,10 +4,12 @@ message accounting on small desk-scale networks.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import snowsim.sim.avalanche as avalanche
-from snowsim.dag import DagParams, DagState
+from snowsim.dag import GENESIS_ID, DagParams, DagState, make_vertex
 from snowsim.sim import AvalancheConfig, run_avalanche
 
 SMALL = DagParams(k=3, a=3, beta1=3, beta2=6)
@@ -161,3 +163,25 @@ class TestSettledFrontier:
             assert all(issued_at[v] > cfg.rounds - latency for v in unsettled if v in issued_at)
             assert len(unsettled) <= latency // interval + 2
             assert len(dag.vertices) > 10 * len(unsettled)
+
+
+class TestSharedVertices:
+    def test_delivery_shares_vertices_but_not_chits(self):
+        src, dst = DagState(), DagState()
+        src.mint_utxo("coin")
+        (a,) = src.on_generate_tx(b"a", ["coin"])
+        src.record_query_result(a, SMALL.a, SMALL)
+        src.mint_utxo("coin2")
+        (b,) = src.on_generate_tx(b"b", ["coin2"])
+        assert src.vertices[b].parents == (a,)
+        avalanche._deliver_ancestry(src, dst, b)
+        assert all(dst.vertices[v] is src.vertices[v] for v in (a, b))
+        dst.record_query_result(b, SMALL.a, SMALL)
+        assert a in src.chits and a not in dst.chits
+        assert b in dst.chits and b not in src.chits
+        assert (src.confidence(a), dst.confidence(a)) == (1, 1)
+
+    def test_vertex_fields_cannot_be_assigned(self):
+        v = make_vertex(b"x", (GENESIS_ID,), "coin")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.parents = ()  # type: ignore[misc]

@@ -306,9 +306,42 @@ class TestAnalyzeChain:
         assert json.loads(capsys.readouterr().out)["b"] == 3
 
 
+BIG = "100000000000000000000"  # above the int64 counters' range
+
+
 class TestExitCodes:
     def test_no_subcommand_is_usage_error(self):
         assert main([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv, word",
+        [
+            (["snow-run", "--phi", BIG, "--trials", "2"], "phi"),
+            (["slush-table", "--cells", "20", "--phi", BIG, "--trials", "2"], "phi"),
+            (["snow-run", "--beta", BIG, "--trials", "2"], "beta"),
+            (["slush-table", "--cells", "20", "--alpha", "inf"], "alpha"),
+            (["snow-run", "--alpha", "inf"], "alpha"),
+            (["analyze-chain", "--alpha", "inf"], "alpha"),
+        ],
+    )
+    def test_out_of_range_input_is_a_usage_error(self, capsys, argv, word):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert word in captured.err
+
+    @pytest.mark.parametrize("command", ["slush-table", "snow-run", "analyze-chain"])
+    def test_infinite_alpha_in_a_config_file_is_a_usage_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("alpha = inf\n")
+        assert main([command, "--config", str(cfg)]) == EXIT_USAGE
+        assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [TINY_SLUSH, ["snow-run", "--n", "10", "--k", "3", "--trials", "2"]]
+    )
+    def test_largest_int64_round_budget_still_runs(self, capsys, argv):
+        assert main([*argv, "--phi", "9223372036854775807"]) == EXIT_OK
 
     def test_unknown_flag_is_usage_error(self):
         assert main(["slush-table", "--warp", "9"]) == EXIT_USAGE

@@ -61,7 +61,7 @@ class TestNineVertexReplay:
 
     def test_chits_match_votes(self):
         dag = replay_nine()
-        assert {vid: dag.vertices[vid].chit for vid in NINE_VOTES} == NINE_VOTES
+        assert {vid: int(vid in dag.chits) for vid in NINE_VOTES} == NINE_VOTES
 
     def test_preference_in_contested_sets(self):
         dag = replay_nine()
@@ -108,9 +108,10 @@ class TestReceive:
         v = Vertex("A", b"x", (GENESIS_ID,), "uA")
         dag.on_receive_tx(v)
         dag.record_query_result("A", 1, UNIT)
-        before = (dag.vertices["A"].chit, len(dag.vertices))
+        before = (set(dag.chits), len(dag.vertices))
         dag.on_receive_tx(Vertex("A", b"x", (GENESIS_ID,), "uA"))
-        assert (dag.vertices["A"].chit, len(dag.vertices)) == before
+        assert dag.vertices["A"] is v
+        assert (dag.chits, len(dag.vertices)) == before
 
     def test_missing_parent_rejected(self):
         dag = DagState()
@@ -126,9 +127,13 @@ class TestReceive:
         assert cs.pref == "A" and cs.last == "A" and cs.cnt == 0
 
     def test_inserted_chit_is_always_zero(self):
-        dag = DagState()
-        dag.on_receive_tx(Vertex("A", b"", (GENESIS_ID,), "uA", chit=1))
-        assert dag.vertices["A"].chit == 0
+        # A chit granted on the sender does not travel with the vertex.
+        sender, dag = DagState(), DagState()
+        v = Vertex("A", b"", (GENESIS_ID,), "uA")
+        sender.on_receive_tx(v)
+        sender.record_query_result("A", 1, UNIT)
+        dag.on_receive_tx(v)
+        assert "A" in sender.chits and "A" not in dag.chits
         assert "A" not in dag.queried
         assert dag.confidence("A") == 0
 
@@ -210,7 +215,7 @@ class TestQueryResolution:
         for vid in ("A", "B"):
             dag.record_query_result(vid, 1, UNIT)
         dag.record_query_result("C", 0, UNIT)
-        assert dag.vertices["C"].chit == 0
+        assert "C" not in dag.chits
         assert dag.conflict_sets["u-A"].cnt == 0
         assert dag.conflict_sets["u-B"].cnt == 0
         with pytest.raises(RequeryError):
@@ -228,7 +233,7 @@ class TestQueryResolution:
         dag = DagState()
         self.chain(dag, ["A"])
         dag.record_query_result("A", 3, params)
-        assert dag.vertices["A"].chit == 0
+        assert "A" not in dag.chits
 
     def test_preference_flips_when_confidence_overtakes(self):
         dag = DagState()
@@ -471,7 +476,7 @@ def recount_confidence(dag: DagState, vid: str) -> int:
     stack = [vid]
     while stack:
         t = stack.pop()
-        total += dag.vertices[t].chit
+        total += t in dag.chits
         for ch in dag.children[t]:
             if ch not in seen:
                 seen.add(ch)
@@ -498,7 +503,7 @@ class TestGeneratedHistories:
                 dag.record_query_result(vid, int(vote), UNIT)
                 if vote:
                     granted.add(vid)
-            assert all(dag.vertices[g].chit == 1 for g in granted)
+            assert granted <= dag.chits
             for vid in dag.vertices:
                 conf = dag.confidence(vid)
                 assert conf == recount_confidence(dag, vid)

@@ -18,7 +18,6 @@ from snowsim.machines import (
     SnowState,
     Variant,
     fresh_state,
-    handle_query,
     handle_sample_result,
 )
 
@@ -44,6 +43,11 @@ class TestParams:
         assert ProtocolParams.from_alpha(k=3, alpha=0.9).a == 3
         assert ProtocolParams.from_alpha(k=10, alpha=0.51).a == 6
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.01, float("inf"), float("nan")])
+    def test_from_alpha_rejects_fractions_outside_the_majority_range(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            ProtocolParams.from_alpha(k=10, alpha=alpha)
+
 
 class TestState:
     def test_mistyped_fields_raise(self):
@@ -53,26 +57,6 @@ class TestState:
             fresh_state(Variant.SNOWBALL, "R")
         with pytest.raises(TypeError):
             SnowState(Variant.SLUSH.value)
-
-
-class TestHandleQuery:
-    def test_unset_adopts(self):
-        s, resp = handle_query(fresh_state(Variant.SLUSH), R)
-        assert s.col is R and resp is R
-
-    def test_colored_keeps_color(self):
-        s0 = fresh_state(Variant.SNOWFLAKE, col=B)
-        s, resp = handle_query(s0, R)
-        assert s is s0 and resp is B
-
-    def test_idempotent_on_same_color(self):
-        s0 = fresh_state(Variant.SNOWBALL, col=R)
-        s, resp = handle_query(s0, R)
-        assert s.col is R and resp is R
-
-    def test_unset_query_rejected(self):
-        with pytest.raises(ValueError):
-            handle_query(fresh_state(Variant.SLUSH), Color.UNSET)
 
 
 class TestSlush:
@@ -204,9 +188,8 @@ class TestProperties:
         applied = []
         for e in seq:
             if s.decided is not None:
-                # Decided state never changes through queries either.
-                s2, _ = handle_query(s, R)
-                assert s2.decided is s.decided
+                with pytest.raises(ValueError):
+                    handle_sample_result(s, p, _counts_for(e))
                 break
             s = handle_sample_result(s, p, _counts_for(e))
             applied.append(e)
