@@ -18,10 +18,12 @@ names, and a key that is unknown or that the subcommand does not take is
 an error, as the flag would be.
 
 Run commands write ``<out>.csv`` (aggregate rows, versioned header) and
-``<out>.jsonl`` (one lossless record per trial); without ``--out`` the
-CSV goes to standard output. ``design`` and ``analyze-chain`` emit a
+``<out>.jsonl`` (one lossless record per trial) and print a short
+summary; without ``--out`` the CSV goes to standard output and
+the summary to standard error. ``design`` and ``analyze-chain`` emit a
 single JSON object. Exit codes: 0 success, 1 infeasible design, 2
-malformed input, 3 internal invariant failure.
+malformed input or an output path that cannot be written, 3 internal
+invariant failure.
 """
 
 from __future__ import annotations
@@ -203,13 +205,18 @@ def _aggregate(per_trial: Sequence[RunRecord], stats: Mapping[str, float]) -> Ru
 
 def _write_reports(
     out: str | None,
+    summary: str,
     aggregate: Sequence[RunRecord],
     per_trial: Sequence[RunRecord],
 ) -> None:
+    """Print the human summary and write the reports. Without ``out`` the CSV
+    is standard output, so the summary goes to standard error."""
     csv_text = format_csv(aggregate)
     if out is None:
+        print(summary, file=sys.stderr)
         sys.stdout.write(csv_text)
         return
+    print(summary)
     Path(out + ".csv").write_text(csv_text, encoding="utf-8")
     Path(out + ".jsonl").write_text(format_jsonl(per_trial), encoding="utf-8")
 
@@ -261,8 +268,7 @@ def cmd_slush_table(cfg: Mapping[str, Any]) -> int:
             f"c={c} trials={trials} per_node_iters mean={stats['mean_per_node_iters']:.4f} "
             f"stddev={stats['stddev_per_node_iters']:.4f}"
         )
-    print("\n".join(lines))
-    _write_reports(cfg.get("out"), aggregate, per_trial)
+    _write_reports(cfg.get("out"), "\n".join(lines), aggregate, per_trial)
     return EXIT_OK
 
 
@@ -302,12 +308,12 @@ def cmd_snow_run(cfg: Mapping[str, Any]) -> int:
     )
     aggregate = _aggregate(per_trial, summarize(per_trial))
     decided = int(batch.all_decided.sum())
-    print(
+    summary = (
         f"{variant.value} n={n} b={b} adversary={adversary.value}: "
         f"decided {decided}/{trials}, violations {aggregate.violations}, "
         f"mean rounds {aggregate.rounds:.1f}"
     )
-    _write_reports(cfg.get("out"), [aggregate], per_trial)
+    _write_reports(cfg.get("out"), summary, [aggregate], per_trial)
     return EXIT_OK
 
 
@@ -365,12 +371,12 @@ def cmd_avalanche_run(cfg: Mapping[str, Any]) -> int:
         if t == 0 and dump_dag is not None:
             Path(dump_dag).write_text("\n".join(out.dag_export) + "\n", encoding="utf-8")
     aggregate = _aggregate(per_trial, summarize(per_trial))
-    print(
+    summary = (
         f"avalanche n={n} b={b}: accepted {accepted_total}/{virtuous_total} virtuous "
         f"({hostage_total} hostage), messages/accepted/node "
         f"{aggregate.per_node_iters:.2f}"
     )
-    _write_reports(cfg.get("out"), [aggregate], per_trial)
+    _write_reports(cfg.get("out"), summary, [aggregate], per_trial)
     if broken:
         print("internal error: a replica accepted two conflicting spends", file=sys.stderr)
         return EXIT_INTERNAL
@@ -484,10 +490,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         file_cfg = load_config(args.config) if args.config else {}
         handler = _COMMANDS[args.command][0]
         return handler(_resolve_settings(args.command, args, file_cfg))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

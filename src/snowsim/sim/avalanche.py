@@ -1,14 +1,14 @@
 """Round-based runner for DAG consensus over many replicas.
 
-Each correct node keeps a ``DagState`` replica; replicas share the
-immutable vertex objects and keep their own votes. One round is one
-node's turn (round-robin): it picks its oldest unresolved vertex, queries
-k peers sampled uniformly from the rest of the network, and folds the
-votes in. Byzantine peers withhold their votes, which counts as a no,
-the strongest move available to them inside this model since conflicting
-spends cannot be forged for outputs they do not own. Gossip is modelled
-as delivery-on-demand: a queried peer first learns the vertex's whole
-ancestry, then votes.
+Each correct node keeps a ``DagState`` replica, built when the node
+first acts or is queried; replicas share the immutable vertex objects
+and keep their own votes. One round is one node's turn (round-robin): it
+picks its oldest unresolved vertex, queries k peers sampled uniformly
+from the rest of the network, and folds the votes in. Byzantine peers
+withhold their votes, which counts as a no, the strongest move available
+to them inside this model since conflicting spends cannot be forged for
+outputs they do not own. Gossip is modelled as delivery-on-demand: a
+queried peer first learns the vertex's whole ancestry, then votes.
 
 A workload of fresh transactions arrives on a fixed schedule. Each one
 spends a newly minted output; optionally every m-th becomes a pair of
@@ -29,9 +29,11 @@ acceptances, running the same pass on the children of each one.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from snowsim.dag import DagParams, DagState
 from snowsim.sampling import Rng
@@ -60,6 +62,8 @@ class AvalancheConfig:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("a network needs at least two nodes")
+        if self.n > np.iinfo(np.int64).max:
+            raise ValueError(f"n={self.n} must fit an int64 node index")
         if not 0 <= self.b < self.n:
             raise ValueError("byzantine count must satisfy 0 <= b < n")
         if self.c < 2:
@@ -161,10 +165,12 @@ def run_avalanche(cfg: AvalancheConfig) -> AvalancheOutcome:
     c, n, k = cfg.c, cfg.n, cfg.params.k
     p = cfg.params
     gen = Rng(cfg.seed).generator
-    dags = [DagState() for _ in range(c)]
-    # How far into each node's acceptance log the global tally has read;
-    # genesis is accepted by fiat and never counted.
-    counted = [len(d.accept_log) for d in dags]
+    # A replica is built when first looked up, so a node costs nothing until
+    # it acts or is queried. ``counted`` is how far into each node's
+    # acceptance log the global tally has read; genesis, the first entry of
+    # every log, is accepted by fiat and never counted.
+    dags: defaultdict[int, DagState] = defaultdict(DagState)
+    counted: defaultdict[int, int] = defaultdict(lambda: 1)
     issued: list[IssuedTx] = []
     accept_count: dict[str, int] = {}
     accept_rounds: dict[str, int] = {}
@@ -231,13 +237,14 @@ def run_avalanche(cfg: AvalancheConfig) -> AvalancheOutcome:
         tally(u, r)
 
     violations = 0
-    for dag in dags:
+    for dag in dags.values():
         spent = Counter(dag.vertices[vid].conflict_key for vid in dag.accepted)
         violations += sum(count > 1 for count in spent.values())
     hostages: set[str] = set()
     virtuous = {vid for tx in issued if not tx.rogue for vid in tx.vertex_ids}
+    in_order = [dags[v] for v in sorted(dags)]
     for vid in virtuous - set(accept_rounds):
-        for dag in dags:
+        for dag in in_order:
             if vid not in dag.vertices:
                 continue
             # A contested ancestor is never settled nor behind a settled one.

@@ -42,7 +42,7 @@ from snowsim.machines import (
     handle_sample_result,
 )
 from snowsim.sampling import Rng, _tail_array
-from snowsim.sim.adversaries import Adversary, AdversaryState
+from snowsim.sim.adversaries import Adversary
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -99,57 +99,33 @@ class RunOutcome:
     pick_counts: tuple[int, ...]
 
 
-def _collect_responses(
-    gen: np.random.Generator,
-    u: int,
-    n: int,
-    c: int,
-    k: int,
-    colors: list[Color],
-    adv: AdversaryState,
-    red_count: int,
-    tie_coin_red: bool,
-) -> dict[Color, int]:
-    """Walk a random permutation of the other nodes until k answers.
-
-    Refusals are skipped, which realizes resampling: the next node in a
-    uniform permutation is a uniform draw from those not yet contacted.
-    """
-    order = gen.permutation(n - 1)
-    reds = answered = 0
-    for raw in order:
-        if answered == k:
-            break
-        slot = int(raw)
-        v = slot + (slot >= u)
-        if v < c:
-            ans: Color | None = colors[v]
-        else:
-            ans = adv.answer(v, u, red_count, tie_coin_red)
-        if ans is None:
-            continue
-        answered += 1
-        reds += ans is Color.RED
-    if answered < k:
-        raise RuntimeError("not enough responsive nodes for a full sample")
-    return {Color.RED: reds, Color.BLUE: k - reds}
-
-
 def _run_scalar(cfg: NetworkConfig, variant: Variant, initial_reds: int) -> RunOutcome:
     """The scheduler loop of every variant, one query at a time.
 
     Each round picks a correct node uniformly. The deciding variants then
     draw the round's tie coin, and a pick of a decided node consumes the
-    round without a query. Slush stops at unanimity, the deciding variants
-    once every correct node has decided, and all of them at ``phi``.
+    round without a query. A query walks a random permutation of the other
+    nodes until k answer: skipping a refusal realizes resampling, as the
+    next node of a uniform permutation is a uniform draw from the rest.
+    Slush stops at unanimity, the deciding variants once every correct node
+    has decided, and all of them at ``phi``.
+
+    A Byzantine node answers only a color some correct node proposed, else
+    refuses (None): ``none`` splits its static answers as evenly as that
+    allows; ``balance-keeper`` answers the querier's side of a partition of
+    the correct nodes, where a flipped node joins its new color's side and
+    that side's least committed member (by ``skew``, then id) crosses over;
+    ``minority-push`` pushes the rarer color, or the tie coin's on a tie.
     """
     if not 0 <= initial_reds <= cfg.c:
         raise ValueError("initial red count out of range")
-    c, k = cfg.c, cfg.params.k
+    c, k, strategy = cfg.c, cfg.params.k, cfg.adversary
     slush = variant is Variant.SLUSH
     colors = [Color.RED] * initial_reds + [Color.BLUE] * (c - initial_reds)
     states = [fresh_state(variant, col) for col in colors]
-    adv = AdversaryState.create(cfg.adversary, colors, cfg.b)
+    proposed = {Color.RED: initial_reds > 0, Color.BLUE: initial_reds < c}
+    byz_reds = cfg.b // 2 if all(proposed.values()) else (cfg.b if proposed[Color.RED] else 0)
+    assign = colors[:]
     gen = Rng(cfg.seed).generator
     red_count = initial_reds
     picks = [0] * c
@@ -162,6 +138,17 @@ def _run_scalar(cfg: NetworkConfig, variant: Variant, initial_reds: int) -> RunO
         if variant is Variant.SNOWBALL:
             return s.confidence(toward) - s.confidence(toward.other())
         return s.cnt if s.col is toward else -s.cnt
+
+    def byzantine_answer(v: int, u: int, tie_coin_red: bool) -> Color | None:
+        if strategy is Adversary.REFUSE:
+            return None
+        if strategy is Adversary.NONE:
+            return Color.RED if v - c < byz_reds else Color.BLUE
+        if strategy is Adversary.BALANCE_KEEPER:
+            return assign[u]
+        red = tie_coin_red if 2 * red_count == c else 2 * red_count < c
+        push = Color.RED if red else Color.BLUE
+        return push if proposed[push] else None
 
     while True:
         if unanimity is None and red_count in (0, c):
@@ -176,13 +163,28 @@ def _run_scalar(cfg: NetworkConfig, variant: Variant, initial_reds: int) -> RunO
         old = states[u]
         if old.decided is not None:
             continue
-        counts = _collect_responses(gen, u, cfg.n, c, k, colors, adv, red_count, tie_coin_red)
+        reds = answered = 0
+        for raw in gen.permutation(cfg.n - 1):
+            if answered == k:
+                break
+            slot = int(raw)
+            v = slot + (slot >= u)
+            ans = colors[v] if v < c else byzantine_answer(v, u, tie_coin_red)
+            if ans is not None:
+                answered += 1
+                reds += ans is Color.RED
+        if answered < k:
+            raise RuntimeError("not enough responsive nodes for a full sample")
+        counts = {Color.RED: reds, Color.BLUE: k - reds}
         new = states[u] = handle_sample_result(old, cfg.params, counts)
         messages += k
         if new.col is not old.col:
             red_count += 1 if new.col is Color.RED else -1
             colors[u] = new.col
-            adv.notify_flip(u, new.col, skew)
+            if strategy is Adversary.BALANCE_KEEPER and assign[u] is not new.col:
+                assign[u] = new.col
+                side = [v for v in range(c) if assign[v] is new.col]
+                assign[min(side, key=lambda v: (skew(v, new.col), v))] = new.col.other()
         decided_n += new.decided is not None
     decisions = tuple(s.decided for s in states)
     return RunOutcome(

@@ -39,6 +39,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="quorum"):
             AvalancheConfig(n=12, b=5, params=DagParams(k=10, a=8, beta1=11, beta2=150), rounds=10)
 
+    def test_rejects_a_node_count_beyond_int64(self):
+        with pytest.raises(ValueError, match="n="):
+            AvalancheConfig(n=2**63, params=SMALL, rounds=10)
+
     def test_quorum_of_every_correct_peer_is_allowed(self):
         cfg = AvalancheConfig(n=12, b=8, params=SMALL, rounds=10)
         assert cfg.params.a == cfg.c - 1
@@ -185,3 +189,23 @@ class TestSharedVertices:
         v = make_vertex(b"x", (GENESIS_ID,), "coin")
         with pytest.raises(dataclasses.FrozenInstanceError):
             v.parents = ()  # type: ignore[misc]
+
+
+class TestReplicasOnDemand:
+    def test_huge_network_builds_only_the_replicas_it_touches(self, monkeypatch):
+        # Each round touches the node whose turn it is and at most k peers;
+        # the counter fails fast where building all c replicas would not.
+        built = []
+
+        def counting_state() -> DagState:
+            if len(built) == 200:
+                raise MemoryError("built every replica up front")
+            built.append(DagState())
+            return built[-1]
+
+        monkeypatch.setattr(avalanche, "DagState", counting_state)
+        params = DagParams(k=10, a=8, beta1=11, beta2=150)
+        cfg = AvalancheConfig(n=10**12, params=params, rounds=10, seed=1, export_replica=0)
+        out = run_avalanche(cfg)
+        assert len(built) <= cfg.rounds * (params.k + 1)
+        assert len(out.issued) == 1 and out.dag_export

@@ -139,10 +139,10 @@ class TestSlushTable:
 
     def test_stdout_carries_csv_without_out_flag(self, capsys):
         assert main(TINY_SLUSH + ["--seed", "5"]) == EXIT_OK
-        body = capsys.readouterr().out
-        csv_part = body[body.index("# snowsim") :]
-        (row,) = parse_csv(csv_part)
+        captured = capsys.readouterr()
+        (row,) = parse_csv(captured.out)
         assert row.c == 20
+        assert captured.err.startswith("c=20 trials=10 ")
 
     def test_bad_cells_are_rejected(self):
         assert main(["slush-table", "--cells", "20,slow"]) == EXIT_USAGE
@@ -174,6 +174,13 @@ class TestSnowRun:
         (row,) = parse_csv((tmp_path / "adv.csv").read_text())
         assert row.adversary == "balance-keeper"
         assert row.b == 2
+
+    def test_stdout_carries_csv_without_out_flag(self, capsys):
+        assert main(self.ARGS) == EXIT_OK
+        captured = capsys.readouterr()
+        (row,) = parse_csv(captured.out)
+        assert row.n == 20
+        assert "decided 20/20" in captured.err
 
     def test_sample_wider_than_network_is_rejected(self):
         assert main(["snow-run", "--n", "5", "--k", "10", "--trials", "2"]) == EXIT_USAGE
@@ -208,6 +215,13 @@ class TestAvalancheRun:
             assert set(obj) == {"id", "parents", "conflict_key", "chit", "confidence"}
             assert all(p in seen for p in obj["parents"])
             seen.add(obj["id"])
+
+    def test_stdout_carries_csv_without_out_flag(self, capsys):
+        assert main(self.ARGS) == EXIT_OK
+        captured = capsys.readouterr()
+        (row,) = parse_csv(captured.out)
+        assert row.n == 12
+        assert "accepted 8/8" in captured.err
 
     def test_unreachable_quorum_is_a_usage_error(self, tmp_path):
         # Defaults k=10, a=8 with only c-1=6 correct peers to vote.
@@ -322,6 +336,7 @@ class TestExitCodes:
             (["slush-table", "--cells", "20", "--alpha", "inf"], "alpha"),
             (["snow-run", "--alpha", "inf"], "alpha"),
             (["analyze-chain", "--alpha", "inf"], "alpha"),
+            (["avalanche-run", "--n", BIG, "--rounds", "10"], f"n={BIG}"),
         ],
     )
     def test_out_of_range_input_is_a_usage_error(self, capsys, argv, word):
@@ -345,6 +360,25 @@ class TestExitCodes:
 
     def test_unknown_flag_is_usage_error(self):
         assert main(["slush-table", "--warp", "9"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (TINY_SLUSH, "--out"),
+            (TestSnowRun.ARGS, "--out"),
+            (TestAvalancheRun.ARGS, "--out"),
+            (TestAvalancheRun.ARGS, "--dump-dag"),
+            (["design", "--n", "40", "--b", "4", "--eps", "1e-3", "--phi", "2000"], "--out"),
+            (["analyze-chain", "--c", "20", "--k", "5", "--a", "4"], "--out"),
+        ],
+        ids=["slush-table", "snow-run", "avalanche-run", "avalanche-dump-dag", "design",
+             "analyze-chain"],
+    )
+    def test_unwritable_output_path_is_a_usage_error(self, tmp_path, capsys, argv, flag):
+        path = str(tmp_path / "missing" / "out")
+        assert main([*argv, flag, path]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err
 
     def test_help_exits_clean(self):
         assert main(["--help"]) == EXIT_OK

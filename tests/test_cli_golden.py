@@ -12,6 +12,12 @@ cases that simulate (``snowflake-minority-push``, ``config-flag-beats-file``,
 ``refuse-env-stdout`` and ``defaults-small``) pin the snow batch engine on
 exact three-outcome tables: they were re-recorded when it replaced the
 per-round hypergeometric draws, which changed the draws for a given seed.
+The four cases that run a simulation without ``--out``
+(``slush-table-env-stdout``, ``snow-run-refuse-env-stdout``,
+``snow-run-defaults-small`` and ``avalanche-run-contested-stdout``) were
+re-recorded when the run summary moved to standard error there, leaving
+standard output a bare CSV: the exit codes and files are unchanged, and
+standard output lost exactly the summary line.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ CASES = {
     "slush-table-env-stdout": (
         ["slush-table", "--cells", "24", "--k", "5", "--alpha", "0.7", "--trials", "6",
          "--phi", "500"],
-        "9", None, "32bac0c4d9d58907db09a9f6627394102f66e556578c0d59d38c1ffd4794e9ef",
+        "9", None, "85bf2e11e6cac91a8cc6a30b809476e08af4dec3f7829aa91c83fa689af6f090",
     ),
     "slush-table-garbage-env-with-flag": (
         ["slush-table", "--cells", "20", "--trials", "2", "--seed", "1"],
@@ -63,11 +69,11 @@ CASES = {
     "snow-run-refuse-env-stdout": (
         ["snow-run", "--variant", "snowball", "--adversary", "refuse", "--n", "16", "--b", "3",
          "--k", "4", "--a", "3", "--beta", "3", "--trials", "5"],
-        "7", None, "ef126cfbcfbe2c95471c57bb444c60175150ffce6270592be6292b39ea25fce1",
+        "7", None, "7408aad5f83cbc0077d5929f97c5f544bf0455c59a269a3f74ee42668ca3784b",
     ),
     "snow-run-defaults-small": (
         ["snow-run", "--n", "20", "--k", "4", "--alpha", "0.7", "--trials", "3"], None, None,
-        "6e16b193ae53bb753df66722a61e32b7c08d7dc8b1d83d8809136ea275e100b7",
+        "dc0b87d17c6cc14b07303178311e565d9e2376a6c17d63a12c66c1fe85d00cfd",
     ),
     "snow-run-slush-variant-from-config": (
         ["snow-run", "--config", "{tmp}/run.cfg", "--trials", "2"], None, "variant = slush\n",
@@ -85,7 +91,7 @@ CASES = {
     "avalanche-run-contested-stdout": (
         ["avalanche-run", *AVA, "--b", "1", "--rounds", "600", "--tx-interval", "12",
          "--rogue-every", "4", "--seed", "3"],
-        None, None, "8c9085d23bf61b745eca6c1e91ca5b8f58245059168c096139235f8ae34138ec",
+        None, None, "ab13b858037f8a95ffada66e7d89f158ed69cc280190aba14bb9ff5e63e2e9a4",
     ),
     "avalanche-run-config-env": (
         ["avalanche-run", "--config", "{tmp}/run.cfg", "--out", "{tmp}/ava"],

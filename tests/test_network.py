@@ -8,6 +8,7 @@ agreement between them is a meaningful check, not a tautology.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -29,6 +30,7 @@ from snowsim.sampling import Rng
 from snowsim.sim import (
     Adversary,
     NetworkConfig,
+    SnowBatch,
     monte_carlo,
     run_slush,
     run_slush_batch,
@@ -412,6 +414,35 @@ class TestBatchSnow:
         cfg = NetworkConfig(n=10, params=ProtocolParams(k=3, a=3, beta=3), phi=40_000, seed=2)
         bat = run_snow_batch(cfg, Variant.SNOWFLAKE, 10, 16)
         assert (bat.unanimity_round == 0).all()
+
+
+class TestProposedColorsRule:
+    """A Byzantine node answers only a color some correct node proposed.
+    From a unanimous start every minority push is of a color nobody
+    proposed, so it is a refusal and the run must equal one under refuse,
+    draw for draw, in both engines."""
+
+    def cfg(self, adversary: Adversary, seed: int) -> NetworkConfig:
+        return NetworkConfig(
+            n=13, b=3, params=ProtocolParams(k=3, a=3, beta=4), phi=2_000,
+            adversary=adversary, seed=seed,
+        )
+
+    @pytest.mark.parametrize("variant", [Variant.SNOWFLAKE, Variant.SNOWBALL])
+    @pytest.mark.parametrize("start", [0, 10])
+    def test_scalar_minority_push_equals_refuse(self, variant, start):
+        for seed in range(5):
+            push = run_snow(self.cfg(Adversary.MINORITY_PUSH, seed), variant, start)
+            refuse = run_snow(self.cfg(Adversary.REFUSE, seed), variant, start)
+            assert push == refuse, seed
+
+    @pytest.mark.parametrize("variant", [Variant.SNOWFLAKE, Variant.SNOWBALL])
+    @pytest.mark.parametrize("start", [0, 10])
+    def test_batch_minority_push_equals_refuse(self, variant, start):
+        push = run_snow_batch(self.cfg(Adversary.MINORITY_PUSH, 3), variant, start, 200)
+        refuse = run_snow_batch(self.cfg(Adversary.REFUSE, 3), variant, start, 200)
+        for field in dataclasses.fields(SnowBatch):
+            assert np.array_equal(getattr(push, field.name), getattr(refuse, field.name)), field.name
 
 
 class TestOutcomeTables:
