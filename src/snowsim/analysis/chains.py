@@ -28,7 +28,8 @@ ratios span hundreds of orders of magnitude; chains with a vanishing interior
 transition fall back to a tridiagonal linear solve.  Expected absorption times
 always use that tridiagonal solve (scipy's banded solver), keeping
 ``c = 10^4`` tractable; no dense matrix is ever formed outside the test
-oracles.
+oracles.  scipy is loaded on the first solve, not on import, so a run that
+never solves a chain does not pay scipy's start-up time or memory.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import solve_banded
 
 from snowsim.sampling import _tail_array
 
@@ -134,6 +134,8 @@ def _banded_solve(chain: BirthDeathChain, lo: int, rhs: np.ndarray) -> np.ndarra
     Rows at or below ``lo`` and rows with up = down = 0 (the absorbing
     endpoints and any frozen interior state) become x(i) = rhs_i.
     """
+    from scipy.linalg import solve_banded
+
     up, down = chain.up.copy(), chain.down.copy()
     pinned = up + down == 0
     pinned[: lo + 1] = True

@@ -44,6 +44,10 @@ from snowsim.machines import (
 from snowsim.sampling import Rng, _tail_array
 from snowsim.sim.adversaries import Adversary
 
+# run_snow_batch draws its uniforms this many at a time, or one round's worth
+# when a round needs more. Larger blocks cost memory and save little.
+_DRAW_BLOCK = 4096
+
 
 @dataclass(frozen=True, kw_only=True)
 class NetworkConfig:
@@ -383,8 +387,11 @@ def run_snow_batch(
     :func:`_outcome_tables` gives their exact probabilities for every state
     the adversary tells apart, once per run. Each round draws one uniform
     for every live trial's pick and one for its outcome, which is read off
-    the tables. Only trials with an undecided node stay live, and only picks
-    of undecided nodes query: a node is decided exactly when ``cnt >= beta``.
+    the tables. The uniforms are drawn in blocks and read in stream order,
+    the L picks of a round's L live trials and then their L outcomes, so the
+    draws equal one ``random((2, L))`` call per round. Only trials with an
+    undecided node stay live, and only picks of undecided nodes query: a
+    node is decided exactly when ``cnt >= beta``.
     Snowball's two confidences are carried as their difference, whose sign,
     when nonzero, is the node's color. Every query sends k messages, so
     ``messages`` is k times a trial's queries.
@@ -418,14 +425,29 @@ def run_snow_batch(
     rounds = np.full(trials, cfg.phi, dtype=np.int64)
     unanimity = np.full(trials, 0 if initial_reds in (0, c) else -1, dtype=np.int64)
     live = np.arange(trials)
+    base = live * c
+    block = picks = np.empty(0)  # uniforms drawn ahead; picks: the same as node indices
+    pos = 0
 
     for r in range(1, cfg.phi + 1):
-        if not live.size:
+        n_live = live.size
+        if not n_live:
             break
-        pick, outcome = gen.random((2, live.size))
-        slot = live * c + (pick * c).astype(np.int64)
+        if pos + 2 * n_live > block.size:
+            size = min(max(_DRAW_BLOCK, 2 * n_live), 2 * n_live * (cfg.phi - r + 1))
+            fresh = gen.random(size - (block.size - pos))
+            # Above 2 048 live trials a block is one round, usually with nothing
+            # left over; copying it would cost about half as much as drawing it.
+            block = np.concatenate([block[pos:], fresh]) if pos < block.size else fresh
+            picks = (block * c).astype(np.int64)
+            pos = 0
+        slot = base + picks[pos : pos + n_live]
+        v = block[pos + n_live : pos + 2 * n_live]
+        pos += 2 * n_live
         query = cnt[slot] < beta
-        slot, v, t = slot[query], outcome[query], live[query]
+        t = live
+        if np.count_nonzero(query) < n_live:
+            slot, v, t = slot[query], v[query], live[query]
         ucol = col[slot]
         if strategy is Adversary.MINORITY_PUSH:
             state = ucol.astype(np.int64) * (c + 1) + red_count[t]
@@ -455,7 +477,7 @@ def run_snow_batch(
         iters[slot] += 1
 
         moved = col_new != ucol
-        if moved.any():
+        if np.count_nonzero(moved):
             tm, target = t[moved], col_new[moved]
             red_count[tm] += 2 * target - 1
             red_now = red_count[tm]
@@ -464,7 +486,7 @@ def run_snow_batch(
             if strategy is Adversary.BALANCE_KEEPER:
                 sm = slot[moved]
                 off = assign[sm] != target
-                if off.any():
+                if np.count_nonzero(off):
                     sm, tm, target = sm[off], tm[off], target[off]
                     assign[sm] = target
                     nodes = tm[:, None] * c + np.arange(c)
@@ -477,13 +499,14 @@ def run_snow_batch(
                     assign[tm * c + np.argmin(sk, axis=1)] = 1 - target
 
         now = cnt_new >= beta
-        if now.any():
+        if np.count_nonzero(now):
             td = t[now]
             decided_n[td] += 1
             done = td[decided_n[td] == c]
             if done.size:
                 rounds[done] = r
                 live = live[decided_n[live] < c]
+                base = live * c
 
     # A decided node never queries again, so its decision is still its color
     # (Snowflake) or the color of its last successful query (Snowball).

@@ -7,10 +7,14 @@ asserted directly; files land in pytest tmp dirs.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import snowsim
 from snowsim.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main, parse_config_text
 from snowsim.reports import parse_csv, parse_jsonl, summarize
 
@@ -388,3 +392,34 @@ class TestExitCodes:
         text = " ".join(capsys.readouterr().out.split())
         assert "--beta1 BETA1 early-commit threshold for uncontested vertices" in text
         assert "--beta2 BETA2 acceptance threshold for contested vertices" in text
+
+
+def test_scipy_is_loaded_only_to_solve_a_chain(tmp_path):
+    # Importing scipy.linalg costs about 0.3 s and 20 MB, which every CLI run
+    # would pay; only a chain solve needs it.
+    code = (
+        "import sys\n"
+        "from snowsim.cli import main\n"
+        "out = sys.argv[1] + '/'\n"
+        "runs = [\n"
+        "    ['slush-table', '--cells', '20', '--k', '5', '--a', '4', '--trials', '10'],\n"
+        "    ['snow-run', '--n', '20', '--b', '4', '--k', '4', '--a', '3', '--beta', '4',\n"
+        "     '--trials', '5', '--adversary', 'balance-keeper'],\n"
+        "    ['avalanche-run', '--n', '12', '--rounds', '200'],\n"
+        "    ['design', '--n', '100', '--b', '10', '--eps', '1e-6', '--phi', '10000'],\n"
+        "]\n"
+        "for argv in runs:\n"
+        "    assert main(argv + ['--out', out + argv[0]]) == 0, argv\n"
+        "    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "    assert not loaded, (argv[0], loaded[:5])\n"
+        "argv = ['analyze-chain', '--c', '20', '--k', '5', '--a', '4', '--out', out + 'chain']\n"
+        "assert main(argv) == 0\n"
+        "assert 'scipy.linalg' in sys.modules, 'analyze-chain did not solve a chain'\n"
+    )
+    src = str(Path(snowsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

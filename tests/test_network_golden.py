@@ -1,7 +1,9 @@
-"""Golden fixed-seed outputs of the scalar engine, ``run_slush`` and ``run_snow``.
+"""Golden fixed-seed outputs of the scalar engine (``run_slush``, ``run_snow``)
+and of the snow batch engine (``run_snow_batch``).
 
-Each case pins the whole ``RunOutcome`` of one configuration, start and
-seed as the sha256 of a canonical JSON rendering. The cases cover:
+Each case pins the whole ``RunOutcome`` or ``SnowBatch`` of one
+configuration, start and seed as the sha256 of a canonical JSON rendering.
+The scalar cases cover:
 
 - Slush from a split, a unanimous and a frozen start (the last runs to
   ``phi``);
@@ -12,9 +14,17 @@ seed as the sha256 of a canonical JSON rendering. The cases cover:
 - a minority-push run that is unanimous for red and then decides blue, so
   ``unanimity_color`` must be the color held in the round of unanimity.
 
-The digests were recorded while Slush and the deciding variants still had
-separate scheduler loops; any refactor of the scalar engine that claims to
-be exact must reproduce them.
+The scalar digests were recorded while Slush and the deciding variants still
+had separate scheduler loops; any refactor of the scalar engine that claims
+to be exact must reproduce them.
+
+The batch cases cover both deciding variants under every adversary (the
+balance-keeper and minority-push runs reach ``phi``), a refuse run whose
+trials finish at scattered rounds, and a run that starts with more live
+trials than one block of draws holds and keeps drawing as they drop out.
+Their digests were recorded while every round drew its uniforms with its own
+``random((2, live))`` call; an engine that draws them any other way must
+consume the stream in the same order.
 """
 
 from __future__ import annotations
@@ -25,12 +35,23 @@ from dataclasses import asdict
 
 import pytest
 
-from snowsim.machines import ProtocolParams, Variant
-from snowsim.sim import Adversary, NetworkConfig, RunOutcome, run_slush, run_snow
+from snowsim.machines import Color, ProtocolParams, Variant
+from snowsim.sim import (
+    Adversary,
+    NetworkConfig,
+    RunOutcome,
+    SnowBatch,
+    run_slush,
+    run_snow,
+    run_snow_batch,
+)
 
 
-def digest(out: RunOutcome) -> str:
-    text = json.dumps(asdict(out), default=lambda color: color.value, separators=(",", ":"))
+def digest(out: RunOutcome | SnowBatch) -> str:
+    def encode(value):
+        return value.value if isinstance(value, Color) else value.tolist()
+
+    text = json.dumps(asdict(out), default=encode, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -117,3 +138,62 @@ def test_slush_outcome_matches_golden_digest(name):
 def test_snow_outcome_matches_golden_digest(name):
     variant, kw, reds, expected = SNOW_CASES[name]
     assert digest(run_snow(NetworkConfig(**kw), variant, reds)) == expected
+
+
+B3 = dict(n=13, b=3, params=ProtocolParams(k=3, a=3, beta=4), phi=3_000, seed=7)
+BATCH_CASES = {
+    "snowflake-none": (
+        Variant.SNOWFLAKE, dict(B3, adversary=Adversary.NONE), 5, 64,
+        "7354d57f1e6b75e05e710f0e81c40b8f1f10895e64e304032ce50c0829ed2a08",
+    ),
+    "snowflake-refuse": (
+        Variant.SNOWFLAKE, dict(B3, adversary=Adversary.REFUSE), 5, 64,
+        "9b83939d4a3a97e65369e0dfed0bef083da9dd851028844ee9336312ff30c9cf",
+    ),
+    "snowflake-balance-keeper": (
+        Variant.SNOWFLAKE, dict(B3, adversary=Adversary.BALANCE_KEEPER), 5, 64,
+        "8be8f2dfde1962348ca982d4f61e4191f89f47eb8069ae7d174e1f6c74dad2be",
+    ),
+    "snowflake-minority-push": (
+        Variant.SNOWFLAKE, dict(B3, adversary=Adversary.MINORITY_PUSH), 5, 64,
+        "15fc4b057d12cf9399847442ca78059fb9a0c590ec1b376f2c504b9f67f2c965",
+    ),
+    "snowball-none": (
+        Variant.SNOWBALL, dict(B3, adversary=Adversary.NONE), 5, 64,
+        "560acab1256092e4c4c98e6fa4176fd5dd32060f5954592532b1c0760812c865",
+    ),
+    "snowball-refuse": (
+        Variant.SNOWBALL, dict(B3, adversary=Adversary.REFUSE), 5, 64,
+        "43cbda91c240efddb779283b74e4987a8b8729b761dbea4ff97fa8c36e3e456c",
+    ),
+    "snowball-balance-keeper": (
+        Variant.SNOWBALL, dict(B3, adversary=Adversary.BALANCE_KEEPER), 5, 64,
+        "5466ae2505fbd19ebe69430dc7a153fa0ec2254443719d99fba62f11ed053b3d",
+    ),
+    "snowball-minority-push": (
+        Variant.SNOWBALL, dict(B3, adversary=Adversary.MINORITY_PUSH), 5, 64,
+        "9c59dc948c12ca9059ea2ff00c675787427c1fc459e6844c5e8201c6ff14afc9",
+    ),
+    # 300 trials that finish at 120 distinct rounds, from 130 to 314.
+    "refuse-scattered": (
+        Variant.SNOWFLAKE,
+        dict(n=20, b=4, params=ProtocolParams(k=4, a=3, beta=6), phi=50_000,
+             adversary=Adversary.REFUSE, seed=11),
+        10, 300,
+        "3753a2ad3636ab6ba613b794d5707078035e3f0e841811988e45049ff01041f4",
+    ),
+    # 2 500 trials (5 000 draws a round) that finish between rounds 92 and 298.
+    "block-refills": (
+        Variant.SNOWBALL,
+        dict(n=12, b=2, params=ProtocolParams(k=3, a=2, beta=8), phi=50_000,
+             adversary=Adversary.REFUSE, seed=12),
+        6, 2_500,
+        "2225def7babb48ce82dbeb431cfee31f9aab177994ee3af162fced8de5466b71",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_snow_batch_matches_golden_digest(name):
+    variant, kw, reds, trials, expected = BATCH_CASES[name]
+    assert digest(run_snow_batch(NetworkConfig(**kw), variant, reds, trials)) == expected
