@@ -28,6 +28,7 @@ the adversary's correction budget scales like the cube root of ``ln eps``.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,7 +174,8 @@ def run_length_tail(p: float, trials: int, beta: int) -> float:
     with g(beta) = p^beta: a new qualifying run can only complete at trial m
     if trial m-beta failed and the following beta trials all succeeded.
     Every term is added, never subtracted, so deep tails keep full relative
-    precision.
+    precision. Only the last ``beta + 1`` values are kept, so memory is
+    O(beta) while time stays linear in ``trials``.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
@@ -185,13 +187,15 @@ def run_length_tail(p: float, trials: int, beta: int) -> float:
         return 0.0
     if p == 0.0:
         return 0.0
-    p_run = p**beta
-    g = np.zeros(trials + 1)
-    g[beta] = p_run
+    g = p_run = p**beta
     fail_start = (1.0 - p) * p_run
-    for m in range(beta + 1, trials + 1):
-        g[m] = g[m - 1] + fail_start * (1.0 - g[m - 1 - beta])
-    return float(g[trials])
+    # g(beta) .. g(m-1); its oldest entry is g(m-1-beta) once full, and
+    # g is 0 below beta.
+    recent = deque([g], maxlen=beta + 1)
+    for _ in range(trials - beta):
+        g += fail_start * (1.0 - (recent[0] if len(recent) > beta else 0.0))
+        recent.append(g)
+    return float(g)
 
 
 def run_length_beta(p: float, trials: int, eps: float) -> int | Infeasible:

@@ -153,9 +153,9 @@ class DagState:
         self._seq: dict[str, int] = {}
         self._order: list[str] = []
         self._query_cursor: int = 0
-        self._last_progress: dict[str, int] = {}
-        self._nop_catchup: set[str] = set()
-        self._nop_checked: dict[str, int] = {}
+        # Round of the last counter progress or failed no-op check.
+        self._quiet_since: dict[str, int] = {}
+        # Next helper sequence number; a key means the vertex has had a helper.
         self._nop_seq: dict[str, int] = {}
         self._admit(Vertex(GENESIS_ID, b"", (), _ORIGIN_KEY))
         self._accept(GENESIS_ID)
@@ -177,7 +177,7 @@ class DagState:
         for p in v.parents:
             self.children[p].append(v.id)
         self._confidence[v.id] = int(v.id in self.chits)
-        self._last_progress[v.id] = self.clock
+        self._quiet_since[v.id] = self.clock
         self._unsettled[v.id] = None
         cs = self._sets.get(v.conflict_key)
         if cs is None:
@@ -288,8 +288,8 @@ class DagState:
         # Replay each logged query result on the settled ancestry it
         # reached. A settled vertex is alone in its set and is the set's
         # preferred and last member, so only counter and confidence move.
-        # Its progress clock is not replayed: a settled vertex is accepted,
-        # and no staleness check acts on an accepted vertex.
+        # Its quiet clock is not replayed: a settled vertex is accepted,
+        # and the no-op sweep skips accepted vertices.
         for edge, success in self._deferred:
             for s in self._climb(edge, ()):
                 cs = self._sets[self.vertices[s].conflict_key]
@@ -385,7 +385,7 @@ class DagState:
             self.chits.add(tid)
             for aid in ancestors:
                 self._confidence[aid] += 1
-                self._last_progress[aid] = self.clock
+                self._quiet_since[aid] = self.clock
             for aid in ancestors:
                 cs = self._sets[self.vertices[aid].conflict_key]
                 if self._confidence[aid] > self._confidence[cs.pref]:
@@ -476,47 +476,48 @@ class DagState:
         frontier.sort(key=self._seq.__getitem__, reverse=True)
         return set(frontier[:fanin])
 
-    def _pending_cover(self) -> set[str]:
-        """Unaccepted vertices that some unresolved query will still bump:
-        every vertex awaiting its query and its unaccepted ancestors."""
-        waiting = (v for v in self._order[self._query_cursor :] if v not in self.queried)
-        return self._climb(waiting, self.accepted)
+    def emit_nops(self, params: DagParams) -> list[Vertex]:
+        """One no-op sweep over the unsettled vertices; returns the no-ops
+        it inserted.
 
-    def emit_nop_if_stuck(
-        self, tid: str, params: DagParams, pending: Optional[set[str]] = None
-    ) -> Optional[Vertex]:
-        """Give a starved virtuous vertex a child to rebuild its counter.
-
-        A vertex is starved when it is virtuous real traffic, not yet
-        accepted, its whole ancestry is accepted, nothing unresolved can
-        still bump it, and its counter has not moved for ``beta1``
-        rounds. Starvation puts it in catch-up mode: the first no-op waits
-        out the staleness window, and as long as the vertex stays
-        unaccepted each resolved helper is followed by another, so the
-        counter can climb to commitment. Helpers get normal parent
-        selection, which lets one helper bump the whole unaccepted tail.
+        A vertex earns a no-op child when it is virtuous real traffic, not
+        yet accepted, its whole ancestry is accepted, no unresolved query
+        will still reach it, and for ``beta1`` rounds neither has its
+        counter moved nor has this check failed on it. Once it has had a
+        helper it skips that quiet window, so each resolved helper is
+        followed by another until the vertex is accepted. Helpers get
+        normal parent selection, which lets one helper bump the whole
+        unaccepted tail.
         """
+        waiting = (v for v in self._order[self._query_cursor :] if v not in self.queried)
+        pending = self._climb(waiting, self.settled) - self.accepted
+        out: list[Vertex] = []
+        for vid in list(self._unsettled):
+            if vid in self.accepted or vid in pending:
+                continue
+            if vid not in self._nop_seq and self.clock - self._quiet_since[vid] < params.beta1:
+                continue
+            nop = self._nop_for(vid, params)
+            if nop is None:
+                self._quiet_since[vid] = self.clock
+            else:
+                out.append(nop)
+                pending |= self._climb((nop.id,), self.settled) - self.accepted
+        return out
+
+    def _nop_for(self, tid: str, params: DagParams) -> Optional[Vertex]:
+        # Insert and return a no-op child for tid if it is starved, else None.
         v = self.vertices[tid]
-        if v.conflict_key.startswith("nop:"):
+        if v.conflict_key.startswith("nop:") or self.is_contested(tid):
             return None  # filler does not beget filler
-        if self.is_contested(tid):
-            return None
-        if tid in (self._pending_cover() if pending is None else pending):
-            return None  # help is already in flight
-        if tid not in self._nop_catchup:
-            if self.clock - self._last_progress[tid] < params.beta1:
-                return None
         if self.is_accepted(tid, params.beta1, params.beta2):
-            self._nop_catchup.discard(tid)
             return None
         # That pass judged every unsettled ancestor; settled ones are accepted.
-        ancestry = self.reflexive_ancestors(tid, self.settled)
-        if not all(a in self.accepted for a in ancestry if a != tid):
+        if not self.accepted.issuperset(self._climb(v.parents, self.settled)):
             return None
-        self._nop_catchup.add(tid)
         # Fall back to a direct edge when the frontier would not cover tid.
         sel = self.parent_selection(FANIN)
-        if not any(tid in self.reflexive_ancestors(pp, self.settled) for pp in sel):
+        if not any(tid in self._climb((pp,), self.settled) for pp in sel):
             sel = {tid}
         parents = tuple(sorted(sel, key=self._seq.__getitem__))
         # The sequence number separates repeat helpers for one vertex
@@ -532,37 +533,6 @@ class DagState:
         self._nop_seq[tid] = seq + 1
         self.on_receive_tx(nop)
         return nop
-
-    def emit_nops(self, params: DagParams) -> list[Vertex]:
-        """One staleness sweep over the unsettled vertices; returns inserted
-        no-ops.
-
-        Vertices in catch-up mode are rechecked every sweep (cheap, they
-        are few). Everything else is throttled: quiet vertices wait out
-        the staleness window, and a failed full check is not repeated for
-        another window.
-        """
-        horizon = params.beta1
-        pending = self._pending_cover()
-        out: list[Vertex] = []
-        for vid in list(self._unsettled):
-            if vid in self.accepted or vid in pending:
-                continue
-            if vid not in self._nop_catchup:
-                if self.clock - self._last_progress[vid] < horizon:
-                    continue
-                checked = self._nop_checked.get(vid)
-                if checked is not None and self.clock - checked < horizon:
-                    continue
-            nop = self.emit_nop_if_stuck(vid, params, pending)
-            if nop is not None:
-                out.append(nop)
-                pending.update(
-                    a for a in self.reflexive_ancestors(nop.id, self.settled) if a not in self.accepted
-                )
-            elif vid not in self._nop_catchup:
-                self._nop_checked[vid] = self.clock
-        return out
 
     # ------------------------------------------------------------------
     # bookkeeping and export

@@ -12,9 +12,11 @@ queried peer first learns the vertex's whole ancestry, then votes.
 
 A workload of fresh transactions arrives on a fixed schedule. Each one
 spends a newly minted output; optionally every m-th becomes a pair of
-conflicting spends issued at two different nodes. No-op children emitted
-for starved vertices hash identically on every replica, so independent
-emissions converge to a single shared vertex.
+conflicting spends issued at two different nodes. After its turn a node
+gives a no-op child to each starved vertex: a virtuous one whose ancestry
+is accepted, that no pending query will reach, and whose counter has been
+quiet for beta1 rounds (``DagState.emit_nops``). No-ops hash identically
+on every replica, so independent emissions converge to one shared vertex.
 
 The cost of a round follows the unsettled part of the replicas, not
 their history. A delivery walks back only to the vertices the receiver
@@ -166,11 +168,8 @@ def run_avalanche(cfg: AvalancheConfig) -> AvalancheOutcome:
     p = cfg.params
     gen = Rng(cfg.seed).generator
     # A replica is built when first looked up, so a node costs nothing until
-    # it acts or is queried. ``counted`` is how far into each node's
-    # acceptance log the global tally has read; genesis, the first entry of
-    # every log, is accepted by fiat and never counted.
+    # it acts or is queried.
     dags: defaultdict[int, DagState] = defaultdict(DagState)
-    counted: defaultdict[int, int] = defaultdict(lambda: 1)
     issued: list[IssuedTx] = []
     accept_count: dict[str, int] = {}
     accept_rounds: dict[str, int] = {}
@@ -178,23 +177,6 @@ def run_avalanche(cfg: AvalancheConfig) -> AvalancheOutcome:
     nops = 0
     next_index = 0
     interval = cfg.effective_interval
-
-    def tally(u: int, r: int) -> None:
-        # Credit the node for anything newly accepted, however it was
-        # discovered. One acceptance can unblock children waiting on that
-        # parent, so chase the wavefront until nothing new commits.
-        dag = dags[u]
-        log = dag.accept_log
-        while counted[u] < len(log):
-            vid = log[counted[u]]
-            counted[u] += 1
-            got = accept_count.get(vid, 0) + 1
-            accept_count[vid] = got
-            if got == c:
-                accept_rounds[vid] = r
-            for ch in dag.children[vid]:
-                if ch not in dag.accepted:
-                    dag.is_accepted(ch, p.beta1, p.beta2)
 
     for r in range(1, cfg.rounds + 1):
         if (cfg.tx_count is None or next_index < cfg.tx_count) and (r - 1) % interval == 0:
@@ -217,6 +199,10 @@ def run_avalanche(cfg: AvalancheConfig) -> AvalancheOutcome:
 
         u = (r - 1) % c
         dag = dags[u]
+        # Only a node's own turn accepts anything, so the global tally reads
+        # its acceptance log from here; genesis, accepted at birth, is before.
+        log = dag.accept_log
+        seen = len(log)
         tid = dag.next_unqueried()
         if tid is None:
             dag.advance_clock(1)
@@ -234,7 +220,19 @@ def run_avalanche(cfg: AvalancheConfig) -> AvalancheOutcome:
             dag.record_query_result(tid, yes, p)
             dag.is_accepted(tid, p.beta1, p.beta2)
         nops += len(dag.emit_nops(p))
-        tally(u, r)
+        # Credit the node for anything newly accepted, however it was
+        # discovered. One acceptance can unblock children waiting on that
+        # parent, so chase the wavefront until nothing new commits.
+        while seen < len(log):
+            vid = log[seen]
+            seen += 1
+            got = accept_count.get(vid, 0) + 1
+            accept_count[vid] = got
+            if got == c:
+                accept_rounds[vid] = r
+            for ch in dag.children[vid]:
+                if ch not in dag.accepted:
+                    dag.is_accepted(ch, p.beta1, p.beta2)
 
     violations = 0
     for dag in dags.values():

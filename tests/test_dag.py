@@ -378,46 +378,69 @@ class TestNop:
     def test_starved_virtuous_vertex_gets_a_child(self):
         dag = self.stuck_vertex()
         dag.advance_clock(UNIT.beta1)
-        nop = dag.emit_nop_if_stuck("A", UNIT)
-        assert nop is not None
+        [nop] = dag.emit_nops(UNIT)
         assert nop.parents == ("A",)
         assert nop.id in dag.vertices
         assert len(dag.conflict_sets[nop.conflict_key].members) == 1
 
+    def test_quiet_window_is_beta1_rounds(self):
+        dag = self.stuck_vertex()
+        dag.advance_clock(UNIT.beta1 - 1)
+        assert dag.emit_nops(UNIT) == []
+        dag.advance_clock(1)
+        assert len(dag.emit_nops(UNIT)) == 1
+
     def test_no_second_helper_while_one_is_pending(self):
         dag = self.stuck_vertex()
         dag.advance_clock(10)
-        assert dag.emit_nop_if_stuck("A", UNIT) is not None
+        assert len(dag.emit_nops(UNIT)) == 1
         dag.advance_clock(10)
-        assert dag.emit_nop_if_stuck("A", UNIT) is None
+        assert dag.emit_nops(UNIT) == []
 
     def test_catchup_continues_until_accepted(self):
         dag = self.stuck_vertex()
         dag.advance_clock(10)
-        first = dag.emit_nop_if_stuck("A", UNIT)
-        assert first is not None
+        [first] = dag.emit_nops(UNIT)
         dag.record_query_result(first.id, 1, UNIT)
         # beta1 reached through the helper, so the vertex commits and the
-        # catch-up pipeline shuts off.
+        # catch-up pipeline shuts off; the helper itself is filler.
         assert dag.is_accepted("A", UNIT.beta1, UNIT.beta2)
         dag.advance_clock(10)
-        assert dag.emit_nop_if_stuck("A", UNIT) is None
+        assert dag.emit_nops(UNIT) == []
 
     def test_catchup_reissues_after_failed_helper(self):
         dag = self.stuck_vertex()
         dag.advance_clock(10)
-        first = dag.emit_nop_if_stuck("A", UNIT)
-        assert first is not None
+        [first] = dag.emit_nops(UNIT)
         dag.record_query_result(first.id, 0, UNIT)
         # The failure reset the counter; a fresh distinct helper follows
-        # immediately, with no second staleness wait.
-        second = dag.emit_nop_if_stuck("A", UNIT)
-        assert second is not None
+        # immediately, with no second quiet wait.
+        [second] = dag.emit_nops(UNIT)
         assert second.id != first.id
+        assert second.parents == ("A",)
+
+    def test_failed_check_waits_out_a_quiet_window(self):
+        dag = DagState()
+        dag.mint_utxo("coin")
+        dag.on_receive_tx(Vertex("A", b"", (GENESIS_ID,), "coin"))
+        dag.on_receive_tx(Vertex("X", b"", (GENESIS_ID,), "coin"))
+        dag.on_receive_tx(Vertex("B", b"", ("A",), "uB"))
+        dag.record_query_result("A", 1, UNIT)
+        dag.record_query_result("B", 1, UNIT)
+        dag.advance_clock(2)
+        # B is quiet but its parent A is undecided: the check fails at 4.
+        assert dag.emit_nops(UNIT) == []
+        dag.on_receive_tx(Vertex("C", b"", ("A",), "uC"))
+        dag.record_query_result("C", 1, UNIT)
+        # A's streak now commits it, but B waits a window from its check.
+        assert dag.clock == 5
+        assert dag.emit_nops(UNIT) == []
+        dag.advance_clock(1)
+        assert [nop.parents for nop in dag.emit_nops(UNIT)] == [("B", "C")]
 
     def test_fresh_vertex_is_not_stuck(self):
         dag = self.stuck_vertex()
-        assert dag.emit_nop_if_stuck("A", UNIT) is None
+        assert dag.emit_nops(UNIT) == []
 
     def test_accepted_vertex_never_nops(self):
         dag = self.stuck_vertex()
@@ -425,7 +448,8 @@ class TestNop:
         dag.record_query_result("B", 1, UNIT)
         assert dag.is_accepted("A", 2, 3)
         dag.advance_clock(10)
-        assert dag.emit_nop_if_stuck("A", UNIT) is None
+        # The one helper is B's.
+        assert [nop.parents for nop in dag.emit_nops(UNIT)] == [("B",)]
 
     def test_contested_vertex_never_nops(self):
         dag = DagState()
@@ -434,7 +458,7 @@ class TestNop:
         dag.on_receive_tx(Vertex("Y", b"", (GENESIS_ID,), "coin"))
         dag.record_query_result("X", 1, UNIT)
         dag.advance_clock(10)
-        assert dag.emit_nop_if_stuck("X", UNIT) is None
+        assert dag.emit_nops(UNIT) == []
 
     def test_undecided_ancestry_blocks_nop(self):
         dag = DagState()
@@ -442,7 +466,29 @@ class TestNop:
         dag.on_receive_tx(Vertex("B", b"", ("A",), "uB"))
         dag.record_query_result("B", 1, UNIT)
         dag.advance_clock(10)
-        assert dag.emit_nop_if_stuck("B", UNIT) is None
+        assert dag.emit_nops(UNIT) == []
+
+    def test_pending_query_reaches_through_an_accepted_streak_owner(self):
+        dag = DagState()
+        dag.mint_utxo("coin")
+        for vid, parents, key in [
+            ("A", (GENESIS_ID,), "uA"),
+            ("Y", ("A",), "coin"),
+            ("Z", (GENESIS_ID,), "coin"),
+            ("C1", ("Y",), "u1"),
+            ("C2", ("Y",), "u2"),
+            ("D", ("A",), "uD"),
+        ]:
+            dag.on_receive_tx(Vertex(vid, b"", parents, key))
+        for vid, yes in [("A", 1), ("Z", 0), ("Y", 1), ("C1", 1), ("C2", 1), ("D", 0)]:
+            dag.record_query_result(vid, yes, UNIT)
+        # Y commits as its set's streak owner; D's failure left A short.
+        assert dag.is_accepted("Y", UNIT.beta1, UNIT.beta2)
+        assert "A" not in dag.accepted
+        dag.on_receive_tx(Vertex("W", b"", ("Y",), "uW"))
+        dag.advance_clock(3)
+        # W's query will walk through the unsettled Y and bump A.
+        assert dag.emit_nops(UNIT) == []
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ divergence-time formulas (values frozen from a separate evaluation).
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 
 from snowsim.analysis import (
@@ -111,6 +113,19 @@ def oracle_run_tail(p: float, trials: int, beta: int) -> float:
     return total
 
 
+def array_run_tail(p: float, trials: int, beta: int) -> float:
+    """The run-length recursion over a full array of g(0) .. g(trials)."""
+    if beta > trials or p == 0.0:
+        return 0.0
+    p_run = p**beta
+    g = np.zeros(trials + 1)
+    g[beta] = p_run
+    fail_start = (1.0 - p) * p_run
+    for m in range(beta + 1, trials + 1):
+        g[m] = g[m - 1] + fail_start * (1.0 - g[m - 1 - beta])
+    return float(g[trials])
+
+
 class TestRunLength:
     def test_full_run_identity(self):
         assert run_length_tail(0.5, 10, 10) == pytest.approx(2**-10)
@@ -127,6 +142,26 @@ class TestRunLength:
                     got = run_length_tail(p, trials, beta)
                     want = oracle_run_tail(p, trials, beta)
                     assert got == pytest.approx(want, abs=1e-12), (p, trials, beta)
+
+    def test_equals_the_full_array_recursion(self):
+        for p in (1e-3, 0.3, 0.5, 0.77, 0.9, 0.999, 1.0):
+            for trials in (1, 2, 7, 50, 301):
+                for beta in sorted({1, 2, 3, trials // 3 + 1, trials // 2, trials - 1, trials, trials + 1}):
+                    if beta >= 1:
+                        assert run_length_tail(p, trials, beta) == array_run_tail(p, trials, beta), (
+                            p, trials, beta,
+                        )
+
+    def test_memory_follows_beta_not_trials(self):
+        # A long horizon with a short tail to walk: the full array would
+        # hold 10^6 floats (7.6 MiB).
+        tracemalloc.start()
+        try:
+            run_length_tail(0.5, 10**6, 10**6 - 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_beta_search(self):
         beta = run_length_beta(0.5, 100, 1e-3)
