@@ -2,7 +2,7 @@
 
 The package splits along the same lines as the protocol family itself:
 
-- :mod:`snowsim.sampling` -- hypergeometric tails, tail bounds, seeded RNG.
+- :mod:`snowsim.sampling` -- hypergeometric tails, seeded RNG.
 - :mod:`snowsim.machines` -- single-node Slush / Snowflake / Snowball state
   machines, pure functions over immutable state.
 - :mod:`snowsim.dag` -- the DAG ledger: conflict sets, chits, confidence,
@@ -17,13 +17,7 @@ The package splits along the same lines as the protocol family itself:
 """
 
 from snowsim.dag import DagParams, DagState, Vertex, make_vertex
-from snowsim.sampling import (
-    Rng,
-    TailQuery,
-    chvatal_tail_bound,
-    hoeffding_tail_bound,
-    hyper_tail,
-)
+from snowsim.sampling import Rng, TailQuery, hyper_tail
 
 __version__ = "0.1.0"
 
@@ -31,8 +25,6 @@ __all__ = [
     "Rng",
     "TailQuery",
     "hyper_tail",
-    "hoeffding_tail_bound",
-    "chvatal_tail_bound",
     "DagState",
     "DagParams",
     "Vertex",

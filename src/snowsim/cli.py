@@ -196,10 +196,11 @@ def _trial_records(
 
 def _aggregate(per_trial: Sequence[RunRecord], stats: Mapping[str, float]) -> RunRecord:
     """The aggregate row: ``summarize(per_trial)``'s means and totals over the
-    fields the trials share."""
+    fields the trials share, and the total of ``accepted`` where trials count it."""
+    accepted = None if per_trial[0].accepted is None else sum(r.accepted for r in per_trial)
     return replace(
         per_trial[0], rounds=stats["mean_rounds"], per_node_iters=stats["mean_per_node_iters"],
-        violations=int(stats["violations"]), messages=int(stats["messages"]),
+        violations=int(stats["violations"]), messages=int(stats["messages"]), accepted=accepted,
     )
 
 
@@ -345,8 +346,7 @@ def cmd_avalanche_run(cfg: Mapping[str, Any]) -> int:
     adversary = "none" if b == 0 else "withhold"
     per_trial: list[RunRecord] = []
     broken = False
-    accepted_total = 0
-    virtuous_total = 0
+    workload_total = 0
     hostage_total = 0
     for t in range(trials):
         run_cfg = AvalancheConfig(
@@ -356,25 +356,24 @@ def cmd_avalanche_run(cfg: Mapping[str, Any]) -> int:
         )
         out = run_avalanche(run_cfg)
         broken = broken or out.violations > 0
-        virtuous = out.virtuous_ids()
-        accepted_total += sum(vid in out.accept_rounds for vid in virtuous)
-        virtuous_total += len(virtuous)
+        workload_total += sum(len(tx.vertex_ids) for tx in out.issued)
         hostage_total += len(out.hostages)
         per_trial.append(
             RunRecord(
                 config_hash=digest, n=n, c=c, b=b, k=k, a=a, beta=beta1,
                 adversary=adversary, rounds=float(out.rounds_used),
-                per_node_iters=out.messages_per_accepted_per_node(c),
-                violations=out.violations, messages=out.messages_sent,
+                per_node_iters=out.rounds_used / c,
+                violations=out.violations, messages=out.messages_sent, accepted=out.accepted,
             )
         )
         if t == 0 and dump_dag is not None:
             Path(dump_dag).write_text("\n".join(out.dag_export) + "\n", encoding="utf-8")
     aggregate = _aggregate(per_trial, summarize(per_trial))
+    accepted = aggregate.accepted
+    per_node = f"{aggregate.messages / (accepted * c):.2f}" if accepted else "n/a"
     summary = (
-        f"avalanche n={n} b={b}: accepted {accepted_total}/{virtuous_total} virtuous "
-        f"({hostage_total} hostage), messages/accepted/node "
-        f"{aggregate.per_node_iters:.2f}"
+        f"avalanche n={n} b={b}: accepted {accepted}/{workload_total} workload vertices "
+        f"({hostage_total} hostage), messages/accepted/node {per_node}"
     )
     _write_reports(cfg.get("out"), summary, [aggregate], per_trial)
     if broken:

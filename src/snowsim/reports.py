@@ -3,11 +3,11 @@
 One experiment run (a single trial or one aggregated Monte Carlo cell)
 becomes one :class:`RunRecord`. Records travel in two formats:
 
-* JSON lines, the lossless form: one object per line, every field present
-  with its native type.
+* JSON lines, the lossless form: one strict JSON object per line (no
+  ``NaN`` or ``Infinity``), every field present with its native type.
 * CSV, the tabular convenience: a versioned comment line, a header row,
   then one row per record. Floats are written with ``repr`` so parsing
-  returns the identical value.
+  returns the identical value; ``None`` is an empty cell.
 
 ``parse_csv`` and ``parse_jsonl`` invert the writers exactly; tests hold
 the round-trip property for arbitrary records.
@@ -21,9 +21,9 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Iterable, Mapping, Sequence, get_type_hints
+from typing import Callable, Iterable, Mapping, Sequence, get_type_hints
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _COMMENT = f"# snowsim report schema v{SCHEMA_VERSION}"
 
@@ -35,9 +35,12 @@ class ReportError(ValueError):
 class RunRecord:
     """One row of experiment output.
 
-    ``rounds`` and ``per_node_iters`` are means when the record aggregates
-    several trials; ``violations`` counts trials in which two correct
-    nodes decided differently; ``messages`` sums protocol messages.
+    ``per_node_iters`` is ``rounds / c`` in every row. ``rounds`` and
+    ``per_node_iters`` are means when the record aggregates several trials;
+    ``violations`` counts trials in which two correct nodes decided
+    differently; ``messages`` sums protocol messages. ``accepted`` counts
+    the workload vertices that every correct node accepted (DAG runs only,
+    else ``None``), summed in an aggregate row.
     """
 
     config_hash: str
@@ -52,17 +55,21 @@ class RunRecord:
     per_node_iters: float
     violations: int
     messages: int
+    accepted: int | None = None
 
     def __post_init__(self) -> None:
         if self.c + self.b != self.n:
             raise ReportError(f"c + b must equal n, got {self.c}+{self.b} != {self.n}")
-        if self.violations < 0 or self.messages < 0:
+        if min(self.violations, self.messages, self.accepted or 0) < 0:
             raise ReportError("counts must be nonnegative")
 
 
-# CSV columns in field order, each parsed back with its field's type.
+# CSV columns in field order, each parsed back with its field's type; an empty
+# ``accepted`` cell is None.
 _COLUMNS = tuple(field.name for field in fields(RunRecord))
-_CONVERT: dict[str, type] = get_type_hints(RunRecord)
+_CONVERT: dict[str, Callable[[str], object]] = {
+    **get_type_hints(RunRecord), "accepted": lambda cell: int(cell) if cell else None,
+}
 
 
 def config_digest(values: Mapping[str, object]) -> str:
@@ -131,7 +138,7 @@ def parse_csv(text: str) -> list[RunRecord]:
 
 def format_jsonl(records: Iterable[RunRecord]) -> str:
     return "".join(
-        json.dumps(asdict(rec), separators=(",", ":"), sort_keys=True) + "\n"
+        json.dumps(asdict(rec), separators=(",", ":"), sort_keys=True, allow_nan=False) + "\n"
         for rec in records
     )
 

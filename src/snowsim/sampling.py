@@ -9,8 +9,9 @@ least ``a`` of them answer with that color?  That is a hypergeometric tail,
 
 and it is the transition kernel for every birth-death chain in
 :mod:`snowsim.analysis`.  Second: how fast does that tail decay as the sample
-size grows?  The Hoeffding bound in Kullback-Leibler form answers that and is
-what the drift-rate analysis substitutes for the exact tail.
+size grows?  The Chernoff-Hoeffding exponent, the Bernoulli Kullback-Leibler
+divergence ``_kl_bernoulli``, answers that and is what the drift-rate analysis
+substitutes for the exact tail.
 
 The tail shows up deep in safety arguments at magnitudes like 1e-19 (and the
 design searches push it toward 1e-30), so plain summation of ``scipy.stats``
@@ -45,8 +46,6 @@ __all__ = [
     "TailQuery",
     "Rng",
     "hyper_tail",
-    "hoeffding_tail_bound",
-    "chvatal_tail_bound",
 ]
 
 
@@ -206,25 +205,3 @@ def _kl_bernoulli(alpha: float, q: float) -> float:
     if alpha < 1.0:
         terms += (1.0 - alpha) * math.log((1.0 - alpha) / (1.0 - q))
     return terms
-
-
-def hoeffding_tail_bound(p: float, psi: float, k: int) -> float:
-    """Upper bound on P(sample mean <= p - psi) for a mean-``p`` sample of size ``k``.
-
-    Returns exp(-k * D(p - psi, p)) with D the Bernoulli Kullback-Leibler
-    divergence.  Valid for sampling without replacement as well (the
-    hypergeometric is more concentrated than the binomial).  ``psi -> 0``
-    degenerates to 1 since D(p, p) = 0.
-    """
-    if not 0.0 < p - psi < p < 1.0:
-        raise ValueError(f"require 0 < p - psi < p < 1; got p={p}, psi={psi}")
-    if k < 1:
-        raise ValueError(f"sample size k={k} must be positive")
-    return math.exp(-k * _kl_bernoulli(p - psi, p))
-
-
-def chvatal_tail_bound(psi: float, k: int) -> float:
-    """The weaker quadratic form exp(-2 psi^2 k) of the same tail bound."""
-    if k < 1:
-        raise ValueError(f"sample size k={k} must be positive")
-    return math.exp(-2.0 * psi * psi * k)

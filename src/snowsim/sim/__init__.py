@@ -6,14 +6,13 @@ time and exists to be read and cross-checked. The batch engine runs many
 trials at once on numpy arrays, reading each query's outcome off exact
 three-outcome tables (Slush as a jump chain on the red count), and is
 what the large table and property experiments use. Both consume the same
-configs and adversary strategies (:class:`Adversary`); each engine states
-the strategies itself, the scalar one per Byzantine answer and the batch
-one as exact outcome tables.
+configs and adversary strategies (:class:`Adversary`), which
+:mod:`snowsim.sim.network` defines with the rule every strategy obeys.
 """
 
-from snowsim.sim.adversaries import Adversary
 from snowsim.sim.avalanche import AvalancheConfig, AvalancheOutcome, IssuedTx, run_avalanche
 from snowsim.sim.network import (
+    Adversary,
     MonteCarlo,
     NetworkConfig,
     RunOutcome,

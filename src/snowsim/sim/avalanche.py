@@ -142,16 +142,16 @@ class AvalancheOutcome:
             if vid in self.accept_rounds
         }
 
+    @property
+    def accepted(self) -> int:
+        """Workload vertices that every correct node accepted."""
+        return sum(vid in self.accept_rounds for tx in self.issued for vid in tx.vertex_ids)
+
     def messages_per_accepted_per_node(self, c: int) -> float:
-        accepted_work = [
-            vid
-            for tx in self.issued
-            for vid in tx.vertex_ids
-            if vid in self.accept_rounds
-        ]
-        if not accepted_work:
-            return float("inf")
-        return self.messages_sent / (len(accepted_work) * c)
+        """Messages per accepted workload vertex per correct node; infinite
+        when nothing was accepted."""
+        accepted = self.accepted
+        return self.messages_sent / (accepted * c) if accepted else float("inf")
 
 
 def _deliver_ancestry(src: DagState, dst: DagState, tid: str) -> None:

@@ -24,10 +24,22 @@ per query.
 :func:`run_slush_batch` needs no per-node state at all: the red count is
 the whole state of a Slush network, a birth-death chain, so it draws only
 the chain's moves and the geometric number of rounds between them.
+
+The :class:`Adversary` strategies decide what the Byzantine nodes answer
+when a correct node queries them; the adversary sees the full network
+state. One rule constrains them all: a Byzantine node can only answer
+with a color that some correct node actually proposed, because
+conflicting values cannot be forged. When a strategy calls for a color
+that was never proposed, those nodes refuse instead, and the querier
+replaces them by sampling further, exactly as it does for plain refusal.
+Each engine states the strategies where it answers a query: the scalar
+engine in :func:`_run_scalar`, one Byzantine answer at a time, and the
+batch engine in :func:`_outcome_tables`, as exact outcome probabilities.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,11 +54,19 @@ from snowsim.machines import (
     handle_sample_result,
 )
 from snowsim.sampling import Rng, _tail_array
-from snowsim.sim.adversaries import Adversary
 
 # run_snow_batch draws its uniforms this many at a time, or one round's worth
 # when a round needs more. Larger blocks cost memory and save little.
 _DRAW_BLOCK = 4096
+
+
+class Adversary(enum.Enum):
+    """Strategy tags accepted by run configs and the CLI."""
+
+    NONE = "none"
+    REFUSE = "refuse"
+    BALANCE_KEEPER = "balance-keeper"
+    MINORITY_PUSH = "minority-push"
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -114,12 +134,12 @@ def _run_scalar(cfg: NetworkConfig, variant: Variant, initial_reds: int) -> RunO
     Slush stops at unanimity, the deciding variants once every correct node
     has decided, and all of them at ``phi``.
 
-    A Byzantine node answers only a color some correct node proposed, else
-    refuses (None): ``none`` splits its static answers as evenly as that
-    allows; ``balance-keeper`` answers the querier's side of a partition of
-    the correct nodes, where a flipped node joins its new color's side and
-    that side's least committed member (by ``skew``, then id) crosses over;
-    ``minority-push`` pushes the rarer color, or the tie coin's on a tie.
+    A Byzantine answer is a proposed color or a refusal (None): ``none``
+    splits its static answers as evenly as that allows; ``balance-keeper``
+    answers the querier's side of a partition of the correct nodes, where a
+    flipped node joins its new color's side and that side's least committed
+    member (by ``skew``, then id) crosses over; ``minority-push`` pushes
+    the rarer color, or the tie coin's on a tie.
     """
     if not 0 <= initial_reds <= cfg.c:
         raise ValueError("initial red count out of range")

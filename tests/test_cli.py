@@ -227,6 +227,19 @@ class TestAvalancheRun:
         assert row.n == 12
         assert "accepted 8/8" in captured.err
 
+    def test_run_that_accepts_nothing_writes_strict_json(self, tmp_path):
+        # Ten rounds issue one transaction and accept nothing.
+        argv = ["avalanche-run", "--n", "12", "--rounds", "10", "--out", str(tmp_path / "x")]
+        assert main(argv) == EXIT_OK
+
+        def reject(constant: str) -> None:
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        lines = (tmp_path / "x.jsonl").read_text().splitlines()
+        (row,) = [json.loads(ln, parse_constant=reject) for ln in lines]
+        assert row["accepted"] == 0
+        assert row["per_node_iters"] == 10 / 12
+
     def test_unreachable_quorum_is_a_usage_error(self, tmp_path):
         # Defaults k=10, a=8 with only c-1=6 correct peers to vote.
         out = tmp_path / "ava"

@@ -18,6 +18,17 @@ The four cases that run a simulation without ``--out``
 re-recorded when the run summary moved to standard error there, leaving
 standard output a bare CSV: the exit codes and files are unchanged, and
 standard output lost exactly the summary line.
+The nine cases that write a run report (``slush-table-out``,
+``slush-table-env-stdout``, ``snow-run-snowflake-minority-push``,
+``snow-run-config-flag-beats-file``, ``snow-run-refuse-env-stdout``,
+``snow-run-defaults-small``, ``avalanche-run-dump``,
+``avalanche-run-contested-stdout`` and ``avalanche-run-config-env``) were
+re-recorded for report schema v2: the header comment reads ``v2``, every
+row gains a last ``accepted`` column (empty for slush and snow rows), and
+avalanche rows give ``per_node_iters`` as ``rounds / c``; their summary
+counts accepted workload vertices. Every ``.json`` and ``.jsonl`` file a
+case writes must also parse as strict JSON, with no ``NaN`` or
+``Infinity``.
 """
 
 from __future__ import annotations
@@ -39,12 +50,12 @@ CASES = {
     "slush-table-out": (
         ["slush-table", "--cells", "20,30", "--k", "5", "--a", "4", "--trials", "12",
          "--seed", "4", "--out", "{tmp}/t"],
-        None, None, "6364e988236302e31b61e11c26f54bae5b0bf5dee8b9d87251c32eefb8e08e76",
+        None, None, "3ab6999b51fa825dd4aacdc6caf73ffb88e1f84ac0d47ece5d1f8ea869b56c7e",
     ),
     "slush-table-env-stdout": (
         ["slush-table", "--cells", "24", "--k", "5", "--alpha", "0.7", "--trials", "6",
          "--phi", "500"],
-        "9", None, "85bf2e11e6cac91a8cc6a30b809476e08af4dec3f7829aa91c83fa689af6f090",
+        "9", None, "f826e122f800f7e22db6b8c26fbd029d3247e8504c9a4118bbec92eb80210bd3",
     ),
     "slush-table-garbage-env-with-flag": (
         ["slush-table", "--cells", "20", "--trials", "2", "--seed", "1"],
@@ -57,23 +68,23 @@ CASES = {
     "snow-run-snowflake-minority-push": (
         ["snow-run", "--variant", "snowflake", "--adversary", "minority-push", *SNOW,
          "--seed", "2", "--out", "{tmp}/s"],
-        None, None, "afb63b8dde004ab01b79297484335cbe1049ea0ac59bcf81743f442333de0f34",
+        None, None, "d4c7e149102240386d01d30d4b231d48e6aa311f3a5e69837c5cb82c092b2cb6",
     ),
     "snow-run-config-flag-beats-file": (
         ["snow-run", "--config", "{tmp}/run.cfg", "--seed", "5", "--out", "{tmp}/s"],
         None,
         "variant = snowball\nadversary = balance-keeper  # strategy\nn = 12\nb = 2\n"
         "k = 3\na = 3\nbeta = 4\ntrials = 6\nseed = 3\ninitial-reds = 4\nphi = 3000\n",
-        "b79c01ca5f010c5d5f8e972442d21ad510cec13b49c525d2506c2eb5ccd3064e",
+        "64cce1c6df84920215b7c9884b431e1edf387dbeb2450036551bc22d75b4ab37",
     ),
     "snow-run-refuse-env-stdout": (
         ["snow-run", "--variant", "snowball", "--adversary", "refuse", "--n", "16", "--b", "3",
          "--k", "4", "--a", "3", "--beta", "3", "--trials", "5"],
-        "7", None, "7408aad5f83cbc0077d5929f97c5f544bf0455c59a269a3f74ee42668ca3784b",
+        "7", None, "0b6d74515ce71f30ac986a8da7db45921bbffd9d389818c3e37fb5ad2f909985",
     ),
     "snow-run-defaults-small": (
         ["snow-run", "--n", "20", "--k", "4", "--alpha", "0.7", "--trials", "3"], None, None,
-        "dc0b87d17c6cc14b07303178311e565d9e2376a6c17d63a12c66c1fe85d00cfd",
+        "14a68b3f5a4a465d23ca44e5776df04533ee8dd734a16cd8d4bfc978b345806c",
     ),
     "snow-run-slush-variant-from-config": (
         ["snow-run", "--config", "{tmp}/run.cfg", "--trials", "2"], None, "variant = slush\n",
@@ -86,18 +97,22 @@ CASES = {
     "avalanche-run-dump": (
         ["avalanche-run", *AVA, "--rounds", "720", "--tx-count", "8", "--seed", "5",
          "--trials", "2", "--dump-dag", "{tmp}/dag.jsonl", "--out", "{tmp}/ava"],
-        None, None, "051815de9fc01b339684934300eaca089d382cbe3ff5cadfd1eb8edc6a212050",
+        None, None, "c6a612c434259e4f502446808da3be0dc11e3224339f911672d2a26a6eaceb7a",
     ),
     "avalanche-run-contested-stdout": (
         ["avalanche-run", *AVA, "--b", "1", "--rounds", "600", "--tx-interval", "12",
          "--rogue-every", "4", "--seed", "3"],
-        None, None, "ab13b858037f8a95ffada66e7d89f158ed69cc280190aba14bb9ff5e63e2e9a4",
+        None, None, "03d61ee32fe313faa1776054147d8bc608d83477224c17eb9d7e87e182e90b21",
     ),
     "avalanche-run-config-env": (
         ["avalanche-run", "--config", "{tmp}/run.cfg", "--out", "{tmp}/ava"],
         "11",
         "n = 8\nk = 2\na = 2\nbeta1 = 2\nbeta2 = 4\nrounds = 160\ntx-count = 3\ntrials = 2\n",
-        "6b1bc16d56bfc1aa63a1309f8129633ea3ed4666fb71e8aadc47ca5606b3c1f2",
+        "ee421056a6a9add0deda1c01ba1b431b42591cb563de58878af8470f91318be2",
+    ),
+    "avalanche-run-accepts-nothing": (
+        ["avalanche-run", "--n", "12", "--rounds", "10", "--out", "{tmp}/x"], None, None,
+        "9c60d5069c3323e87c7a8ed14c3d8ec72a6b9e43e14040995f393dd29d1ca7ed",
     ),
     "avalanche-run-unreachable-quorum": (
         ["avalanche-run", "--n", "12", "--b", "5", "--out", "{tmp}/x"], None, None,
@@ -184,6 +199,10 @@ CASES = {
 }
 
 
+def _reject_constant(constant: str) -> None:
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
 def run_case(tmp_path, capsys, monkeypatch, name: str) -> str:
     argv, env, config, _ = CASES[name]
     monkeypatch.delenv(ENV_SEED, raising=False)
@@ -192,6 +211,10 @@ def run_case(tmp_path, capsys, monkeypatch, name: str) -> str:
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
     code = main([arg.format(tmp=tmp_path) for arg in argv])
+    for path in tmp_path.glob("*.json*"):
+        text = path.read_text()
+        for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+            json.loads(doc, parse_constant=_reject_constant)
     files = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(tmp_path.iterdir())

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from snowsim.reports import (
+    SCHEMA_VERSION,
     ReportError,
     RunRecord,
     config_digest,
@@ -56,6 +57,7 @@ def records(draw: st.DrawFn) -> RunRecord:
         per_node_iters=draw(st.floats(min_value=0, max_value=1e6, allow_nan=False)),
         violations=draw(st.integers(min_value=0, max_value=10_000)),
         messages=draw(st.integers(min_value=0, max_value=10**12)),
+        accepted=draw(st.none() | st.integers(min_value=0, max_value=10**9)),
     )
 
 
@@ -67,12 +69,14 @@ class TestRecord:
     def test_rejects_negative_counts(self):
         with pytest.raises(ReportError):
             record(violations=-1)
+        with pytest.raises(ReportError):
+            record(accepted=-1)
 
 
 class TestCsv:
     def test_header_carries_schema_version(self):
         text = format_csv([record()])
-        assert text.startswith("# snowsim report schema v1\n")
+        assert text.startswith(f"# snowsim report schema v{SCHEMA_VERSION}\n")
         assert text.splitlines()[1].startswith("config_hash,")
 
     @given(st.lists(records(), max_size=8))
@@ -92,7 +96,7 @@ class TestCsv:
             parse_csv(headerless)
 
     def test_rejects_future_schema_version(self):
-        text = format_csv([record()]).replace("v1", "v99")
+        text = format_csv([record()]).replace(f"v{SCHEMA_VERSION}", f"v{SCHEMA_VERSION + 1}")
         with pytest.raises(ReportError):
             parse_csv(text)
 

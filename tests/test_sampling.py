@@ -23,8 +23,6 @@ from snowsim.sampling import (
     _kl_bernoulli,
     _tail_array,
     _tail_raw,
-    chvatal_tail_bound,
-    hoeffding_tail_bound,
     hyper_tail,
 )
 
@@ -104,8 +102,9 @@ class TestHyperTail:
             assert _tail(n, x, k, a + 1) <= _tail(n, x, k, a) + 1e-12
 
     def test_tail_below_hoeffding_bound_on_grid(self):
-        # P(H >= a) = P(k - H <= k - a); apply the bound to the complement
-        # color, whose ratio is 1 - x/n, at deviation psi = (1-x/n) - (k-a)/k.
+        # P(H >= a) = P(k - H <= k - a); apply the Chernoff-Hoeffding bound
+        # exp(-k D(p - psi || p)) to the complement color, whose ratio is
+        # p = 1 - x/n, at deviation psi = (1-x/n) - (k-a)/k.
         rng = np.random.default_rng(7)
         checked = 0
         for _ in range(400):
@@ -120,8 +119,7 @@ class TestHyperTail:
             if not 0.0 < p - psi < p < 1.0:
                 continue
             tail = _tail(n, x, k, a)
-            assert tail <= hoeffding_tail_bound(p, psi, k) * (1 + 1e-9)
-            assert tail <= chvatal_tail_bound(psi, k) * (1 + 1e-9)
+            assert tail <= math.exp(-k * _kl_bernoulli(p - psi, p)) * (1 + 1e-9)
             checked += 1
         assert checked > 100
 
@@ -142,7 +140,7 @@ class TestTailArray:
 class TestBounds:
     def test_kl_anchor(self):
         d = 0.7 * math.log(0.7 / 0.8) + 0.3 * math.log(0.3 / 0.2)
-        assert hoeffding_tail_bound(0.8, 0.1, 10) == pytest.approx(math.exp(-10 * d))
+        assert _kl_bernoulli(0.7, 0.8) == pytest.approx(d)
 
     def test_kl_endpoint_limits_and_domain(self):
         # At alpha = 0 or 1 only one term survives; 0 log 0 is taken as 0.
@@ -153,27 +151,21 @@ class TestBounds:
             with pytest.raises(ValueError):
                 _kl_bernoulli(alpha, q)
 
-    def test_zero_deviation_limit(self):
-        # D(p, p) = 0, so the bound degenerates to 1 as psi -> 0.
-        assert hoeffding_tail_bound(0.6, 1e-12, 50) == pytest.approx(1.0, abs=1e-6)
-
-    def test_monotone_in_k(self):
-        assert hoeffding_tail_bound(0.8, 0.1, 20) < hoeffding_tail_bound(0.8, 0.1, 10)
-        assert chvatal_tail_bound(0.1, 20) < chvatal_tail_bound(0.1, 10)
+    def test_monotone_in_deviation(self):
+        # D(p - psi || p) grows with the deviation psi on either side of p.
+        shares = (0.0, 0.05, 0.25, 0.5, 1.0)
+        for p in (0.2, 0.55, 0.8):
+            below = [_kl_bernoulli(p - f * p, p) for f in shares]
+            above = [_kl_bernoulli(p + f * (1 - p), p) for f in shares]
+            assert below == sorted(below) and len(set(below)) == len(below)
+            assert above == sorted(above) and len(set(above)) == len(above)
 
     def test_kl_form_dominates_chvatal(self):
-        # Pinsker: D(p-psi, p) >= 2 psi^2, so the KL bound is never weaker.
+        # Pinsker: D(p - psi || p) >= 2 psi^2, so the KL exponent is never
+        # weaker than Chvatal's quadratic one.
         for p in (0.55, 0.7, 0.9):
             for psi in (0.01, 0.1, p / 2):
-                assert hoeffding_tail_bound(p, psi, 25) <= chvatal_tail_bound(psi, 25) * (1 + 1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            hoeffding_tail_bound(0.8, 0.9, 10)  # p - psi < 0
-        with pytest.raises(ValueError):
-            hoeffding_tail_bound(1.0, 0.1, 10)  # p not < 1
-        with pytest.raises(ValueError):
-            hoeffding_tail_bound(0.8, 0.0, 10)  # psi must keep p-psi < p
+                assert _kl_bernoulli(p - psi, p) >= 2 * psi * psi * (1 - 1e-12)
 
 
 class TestRng:
