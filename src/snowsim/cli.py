@@ -22,8 +22,8 @@ Run commands write ``<out>.csv`` (aggregate rows, versioned header) and
 summary; without ``--out`` the CSV goes to standard output and
 the summary to standard error. ``design`` and ``analyze-chain`` emit a
 single JSON object. Exit codes: 0 success, 1 infeasible design, 2
-malformed input or an output path that cannot be written, 3 internal
-invariant failure.
+malformed input, an output path that cannot be written or a run too
+large for memory, 3 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -491,6 +491,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return handler(_resolve_settings(args.command, args, file_cfg))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: not enough memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

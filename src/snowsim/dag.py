@@ -128,8 +128,9 @@ class DagState:
     confidences only when those are read (``confidence``,
     ``conflict_sets``, ``export_json_lines``). Strong preference is
     remembered per vertex until some conflict set's preference flips.
-    Commitment has one rule, applied in one oldest-first pass over a
-    vertex's unsettled ancestry (``is_accepted``); ``accepted`` is its memo.
+    Commitment has one rule, applied at the end of each query result to
+    the ancestry it updated and the children of each new acceptance
+    (``is_accepted``), so ``accepted`` is always closed under it.
     """
 
     def __init__(self) -> None:
@@ -365,7 +366,8 @@ class DagState:
         At quorum the vertex joins ``chits`` and every reflexive ancestor's
         conflict set updates preference and its consecutive counter; below
         quorum it never earns a chit here and those counters reset. Settled
-        ancestors receive the outcome when they are next read.
+        ancestors receive the outcome when they are next read. The
+        commitment pass (``is_accepted``) then runs from ``tid``.
         """
         if tid not in self.vertices:
             raise KeyError(tid)
@@ -399,6 +401,7 @@ class DagState:
         else:
             for aid in ancestors:
                 self._sets[self.vertices[aid].conflict_key].cnt = 0
+        self.is_accepted(tid, params.beta1, params.beta2)
 
     def advance_clock(self, rounds: int = 1) -> None:
         """Let scheduler rounds pass without any query resolving."""
@@ -424,7 +427,8 @@ class DagState:
 
     def is_accepted(self, tid: str, beta1: int, beta2: int) -> bool:
         """Apply the commitment rule to ``tid`` and its unsettled ancestors,
-        oldest first, and report whether ``tid`` is accepted.
+        oldest first, then to the children of each vertex that commits,
+        until nothing new commits; report whether ``tid`` is accepted.
 
         A virtuous vertex commits early once its whole parent set is
         accepted and its counter reaches ``beta1``. In a contested set
@@ -432,8 +436,11 @@ class DagState:
         the counter to the set alone would commit every member at once.
         By the time a vertex is judged its parents have been, so the
         accepted set itself is the memo, and acceptance is permanent.
+        ``record_query_result`` ends with this pass, so under its
+        thresholds ``accepted`` is closed after every public call.
         """
-        for t in self.reflexive_ancestors(tid, self.settled):
+        todo = self.reflexive_ancestors(tid, self.settled)
+        for t in todo:  # grows by the children of each vertex that commits
             if t in self.accepted:
                 continue
             v = self.vertices[t]
@@ -444,6 +451,7 @@ class DagState:
                 and all(p in self.accepted for p in v.parents)
             ):
                 self._accept(t)
+                todo.extend(self.children[t])
         return tid in self.accepted
 
     # ------------------------------------------------------------------
@@ -497,7 +505,7 @@ class DagState:
                 continue
             if vid not in self._nop_seq and self.clock - self._quiet_since[vid] < params.beta1:
                 continue
-            nop = self._nop_for(vid, params)
+            nop = self._nop_for(vid)
             if nop is None:
                 self._quiet_since[vid] = self.clock
             else:
@@ -505,14 +513,11 @@ class DagState:
                 pending |= self._climb((nop.id,), self.settled) - self.accepted
         return out
 
-    def _nop_for(self, tid: str, params: DagParams) -> Optional[Vertex]:
+    def _nop_for(self, tid: str) -> Optional[Vertex]:
         # Insert and return a no-op child for tid if it is starved, else None.
         v = self.vertices[tid]
         if v.conflict_key.startswith("nop:") or self.is_contested(tid):
             return None  # filler does not beget filler
-        if self.is_accepted(tid, params.beta1, params.beta2):
-            return None
-        # That pass judged every unsettled ancestor; settled ones are accepted.
         if not self.accepted.issuperset(self._climb(v.parents, self.settled)):
             return None
         # Fall back to a direct edge when the frontier would not cover tid.

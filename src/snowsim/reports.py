@@ -20,7 +20,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, Sequence, get_type_hints
 
 SCHEMA_VERSION = 2
@@ -138,7 +138,8 @@ def parse_csv(text: str) -> list[RunRecord]:
 
 def format_jsonl(records: Iterable[RunRecord]) -> str:
     return "".join(
-        json.dumps(asdict(rec), separators=(",", ":"), sort_keys=True, allow_nan=False) + "\n"
+        json.dumps({name: getattr(rec, name) for name in _COLUMNS}, separators=(",", ":"),
+                   sort_keys=True, allow_nan=False) + "\n"
         for rec in records
     )
 

@@ -20,13 +20,12 @@ on every replica, so independent emissions converge to one shared vertex.
 
 The cost of a round follows the unsettled part of the replicas, not
 their history. A delivery walks back only to the vertices the receiver
-already holds. The query's own walk and the commitment pass after it
-(``DagState.is_accepted`` over the queried vertex's ancestry, the one
-place the commitment rule is applied) stop at settled vertices
-(accepted, alone in their conflict set, with settled parents), as does
-the no-op sweep; strong preference is cached per vertex until some
-preference flips; and the global tally reads each replica's log of new
-acceptances, running the same pass on the children of each one.
+already holds. The query's own walk and the commitment pass that ends it
+(``DagState.is_accepted``, the one place the commitment rule is applied)
+stop at settled vertices (accepted, alone in their conflict set, with
+settled parents), as does the no-op sweep; strong preference is cached
+per vertex until some preference flips; and the global tally only reads
+each replica's log of new acceptances.
 """
 
 from __future__ import annotations
@@ -201,8 +200,7 @@ def run_avalanche(cfg: AvalancheConfig) -> AvalancheOutcome:
         dag = dags[u]
         # Only a node's own turn accepts anything, so the global tally reads
         # its acceptance log from here; genesis, accepted at birth, is before.
-        log = dag.accept_log
-        seen = len(log)
+        seen = len(dag.accept_log)
         tid = dag.next_unqueried()
         if tid is None:
             dag.advance_clock(1)
@@ -218,21 +216,12 @@ def run_avalanche(cfg: AvalancheConfig) -> AvalancheOutcome:
                 yes += dags[v].on_query(vtx)
             messages += k
             dag.record_query_result(tid, yes, p)
-            dag.is_accepted(tid, p.beta1, p.beta2)
         nops += len(dag.emit_nops(p))
-        # Credit the node for anything newly accepted, however it was
-        # discovered. One acceptance can unblock children waiting on that
-        # parent, so chase the wavefront until nothing new commits.
-        while seen < len(log):
-            vid = log[seen]
-            seen += 1
+        for vid in dag.accept_log[seen:]:
             got = accept_count.get(vid, 0) + 1
             accept_count[vid] = got
             if got == c:
                 accept_rounds[vid] = r
-            for ch in dag.children[vid]:
-                if ch not in dag.accepted:
-                    dag.is_accepted(ch, p.beta1, p.beta2)
 
     violations = 0
     for dag in dags.values():

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -429,10 +430,43 @@ def test_scipy_is_loaded_only_to_solve_a_chain(tmp_path):
         "assert main(argv) == 0\n"
         "assert 'scipy.linalg' in sys.modules, 'analyze-chain did not solve a chain'\n"
     )
-    src = str(Path(snowsim.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)], env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-c", code, str(tmp_path)], env=_env_with_this_snowsim(),
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _env_with_this_snowsim() -> dict[str, str]:
+    src = str(Path(snowsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _cap_address_space() -> None:
+    # 3 GiB, or less if the hard limit is already lower.
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["snow-run", "--n", "2000", "--trials", "100000000"],  # asks for 186 GiB
+        ["slush-table", "--cells", "20", "--trials", "1000000000"],  # asks for 7.45 GiB
+    ],
+    ids=["snow-run", "slush-table"],
+)
+def test_run_too_large_for_memory_is_a_usage_error(tmp_path, argv):
+    # Run only in a child whose address space is capped, so the allocation
+    # fails at once instead of taking the machine's memory.
+    proc = subprocess.run(
+        [sys.executable, "-m", "snowsim.cli", *argv, "--out", str(tmp_path / "out")],
+        env=_env_with_this_snowsim(), preexec_fn=_cap_address_space,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: not enough memory")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""

@@ -478,11 +478,14 @@ class TestNop:
             ("C1", ("Y",), "u1"),
             ("C2", ("Y",), "u2"),
             ("D", ("A",), "uD"),
+            ("D2", ("A",), "uD2"),
         ]:
             dag.on_receive_tx(Vertex(vid, b"", parents, key))
-        for vid, yes in [("A", 1), ("Z", 0), ("Y", 1), ("C1", 1), ("C2", 1), ("D", 0)]:
+        history = [("A", 0), ("Z", 0), ("Y", 1), ("D", 0), ("C1", 1), ("D2", 0), ("C2", 1)]
+        for vid, yes in history:
             dag.record_query_result(vid, yes, UNIT)
-        # Y commits as its set's streak owner; D's failure left A short.
+        # Y commits as its set's streak owner; a failed query on A alone
+        # between each pair of successes under Y kept A short of beta1.
         assert dag.is_accepted("Y", UNIT.beta1, UNIT.beta2)
         assert "A" not in dag.accepted
         dag.on_receive_tx(Vertex("W", b"", ("Y",), "uW"))
@@ -704,6 +707,16 @@ def assert_caches_exact(dag: DagState, shadow: ShadowCounters) -> None:
     shadow.sync_new_sets(dag)
     got = {key: (cs.last, cs.cnt) for key, cs in dag.conflict_sets.items()}
     assert got == shadow.state
+    # accepted is closed: no vertex outside it satisfies the commitment rule
+    for vid in set(dag.vertices) - dag.accepted:
+        v = dag.vertices[vid]
+        cs = dag.conflict_sets[v.conflict_key]
+        assert not (cs.cnt >= FAST.beta2 and cs.last == vid), vid
+        assert not (
+            len(cs.members) == 1
+            and cs.cnt >= FAST.beta1
+            and all(p in dag.accepted for p in v.parents)
+        ), vid
 
 
 oracle_ops = st.lists(
@@ -740,7 +753,7 @@ class TestCachesAgainstWalks:
             elif kind == 3:
                 dag.is_accepted(target, FAST.beta1, FAST.beta2)
             elif kind == 4:
-                # As the runner does after a query, or from anywhere: the
+                # As a recorded query does, or from anywhere: the
                 # commitment rule over the whole reflexive ancestry, oldest
                 # first, with no settled cut.
                 target = known[-1] if vote else target
