@@ -171,7 +171,7 @@ def parse_jsonl(text: str) -> list[RunRecord]:
 
 
 def summarize(records: Sequence[RunRecord]) -> dict[str, float]:
-    """Aggregate statistics recomputable from the per-trial records."""
+    """Aggregate statistics recomputable from the per-trial records (totals as exact ints)."""
     if not records:
         raise ReportError("no records to summarize")
     iters = [rec.per_node_iters for rec in records]
@@ -186,6 +186,6 @@ def summarize(records: Sequence[RunRecord]) -> dict[str, float]:
         "mean_rounds": sum(rec.rounds for rec in records) / len(records),
         "mean_per_node_iters": mean,
         "stddev_per_node_iters": stddev,
-        "violations": float(sum(rec.violations for rec in records)),
-        "messages": float(sum(rec.messages for rec in records)),
+        "violations": sum(rec.violations for rec in records),
+        "messages": sum(rec.messages for rec in records),
     }

@@ -22,8 +22,9 @@ uniforms per live trial (trials with an undecided node): one picks the
 node, the other reads its query's outcome off the tables. Messages are k
 per query.
 :func:`run_slush_batch` needs no per-node state at all: the red count is
-the whole state of a Slush network, a birth-death chain, so it draws only
-the chain's moves and the geometric number of rounds between them.
+the whole state of a Slush network, a birth-death chain, so each step of a
+trial reads two uniforms, one inverted into the geometric number of rounds
+to the chain's next move and one for that move's direction.
 
 The :class:`Adversary` strategies decide what the Byzantine nodes answer
 when a correct node queries them; the adversary sees the full network
@@ -55,8 +56,8 @@ from snowsim.machines import (
 )
 from snowsim.sampling import Rng, _tail_array
 
-# run_snow_batch draws its uniforms this many at a time, or one round's worth
-# when a round needs more. Larger blocks cost memory and save little.
+# The batch engines draw their uniforms this many at a time, or one round's or
+# step's worth when that needs more. Larger blocks cost memory and save little.
 _DRAW_BLOCK = 4096
 
 
@@ -321,10 +322,14 @@ def run_slush_batch(cfg: NetworkConfig, initial_reds: int, trials: int) -> Slush
 
     The scheduled node is red with probability i/c and samples the other
     c - 1 nodes, so ``build_slush_chain(c, k, a, population=c - 1)`` gives
-    the exact per-round up and down probabilities. Each trial waits a
-    geometric number of rounds for its next move, then steps up or down in
-    proportion to them. A trial whose next move would come after the budget,
-    or that sits in a state it can never leave, ends at ``phi`` unconverged.
+    the exact per-round up and down probabilities. A trial waits W rounds
+    for its next move, geometric with success probability move = up + down
+    and drawn by inversion, W = 1 + floor(E / lam) with E = -log1p(-U) and
+    lam = -log1p(-move); it steps up when a second uniform is below up / move.
+    A step reads the L wait uniforms of its L live trials, then their L
+    direction uniforms, from blocks as :func:`run_snow_batch` does. A trial
+    whose next move would come after the budget, or that sits in a state it
+    can never leave, ends at ``phi`` unconverged. Messages are k per round.
     """
     if cfg.b != 0:
         raise ValueError("this protocol assumes every node is correct")
@@ -332,29 +337,46 @@ def run_slush_batch(cfg: NetworkConfig, initial_reds: int, trials: int) -> Slush
         raise ValueError("need at least one trial")
     if not 0 <= initial_reds <= cfg.c:
         raise ValueError("initial red count out of range")
-    c, phi = cfg.c, cfg.phi
-    chain = build_slush_chain(c, cfg.params.k, cfg.params.a, population=c - 1)
+    c, k, phi = cfg.c, cfg.params.k, cfg.phi
+    chain = build_slush_chain(c, k, cfg.params.a, population=c - 1)
     move = chain.up + chain.down
+    # Per state: 1 / log1p(-move) = -1/lam (-0 where move = 1, so W = 1), the
+    # up share of a move, and whether the state can never be left; the inf
+    # and nan of those last states are never read.
+    ends = move == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_log, up_share = 1 / np.log1p(-move), chain.up / move
     gen = Rng(cfg.seed).generator
     red = np.full(trials, initial_reds, dtype=np.int64)
-    rounds = np.zeros(trials, dtype=np.int64)
-    live = np.flatnonzero((0 < red) & (red < c))
+    rounds = np.full(trials, 0 if initial_reds in (0, c) else phi, dtype=np.int64)
+    live = np.arange(0 if ends[initial_reds] else trials)
+    state, room = red[live], np.full(live.size, phi, dtype=np.int64)  # room: rounds left
+    block, pos = np.empty(0), 0
     while live.size:
-        p = move[red[live]]
-        # p = 0 (a frozen state) is clipped only to keep geometric defined.
-        # Compare with the budget left before adding: geometric(p) saturates
-        # at the int64 maximum for p below about 1e-19.
-        wait = gen.geometric(np.clip(p, 1e-300, 1.0))
-        stuck = (p == 0) | (wait > phi - rounds[live])
-        rounds[live[stuck]] = phi
-        live, wait = live[~stuck], wait[~stuck]
-        i = red[live]
-        rounds[live] += wait
-        red[live] = i + np.where(gen.random(live.size) * move[i] < chain.up[i], 1, -1)
-        live = live[(red[live] > 0) & (red[live] < c)]
+        n_live = live.size
+        if pos + 2 * n_live > block.size:
+            fresh = gen.random(max(_DRAW_BLOCK, 2 * n_live) - (block.size - pos))
+            block, pos = np.concatenate([block[pos:], fresh]), 0
+        x = np.log1p(-block[pos : pos + n_live]) * inv_log[state]  # E / lam
+        v = block[pos + n_live : pos + 2 * n_live]
+        pos += 2 * n_live
+        fits = x < room  # 1 + floor(x) <= room; stuck trials keep rounds = phi
+        if np.count_nonzero(fits) < n_live:
+            live, state, room, x, v = live[fits], state[fits], room[fits], x[fits], v[fits]
+        room -= x.astype(np.int64)
+        room -= 1
+        state += np.where(v < up_share[state], 1, -1)
+        end = ends[state]
+        if np.count_nonzero(end):
+            # A state with no move that is not 0 or c ends the trial at phi.
+            won = end & ((state == 0) | (state == c))
+            red[live[won]], rounds[live[won]] = state[won], phi - room[won]
+            live, state, room = live[~end], state[~end], room[~end]
+    if (most := int(rounds.max())) > np.iinfo(np.int64).max // k:
+        raise ValueError(f"messages: k={k} times rounds={most} passes the int64 maximum")
     return SlushBatch(
         c=c, rounds=rounds, converged=(red == 0) | (red == c), all_red=red == c,
-        messages=cfg.params.k * rounds,
+        messages=k * rounds,
     )
 
 

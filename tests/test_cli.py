@@ -135,6 +135,18 @@ class TestSlushTable:
         assert rows[0].rounds == stats["mean_rounds"]
         assert rows[0].messages == int(stats["messages"])
 
+    def test_aggregate_totals_are_exact_past_float_precision(self, tmp_path):
+        # A frozen chain (c=4, k=3, a=3 from 2 reds) ends every trial at phi,
+        # so each trial sends 3 * phi messages; the total of seven such
+        # counts needs more than a float's 53 bits.
+        argv = ["slush-table", "--cells", "4", "--k", "3", "--a", "3",
+                "--phi", "1000000000000001", "--trials", "7", "--seed", "1"]
+        assert main([*argv, "--out", str(tmp_path / "r")]) == EXIT_OK
+        (row,) = parse_csv((tmp_path / "r.csv").read_text())
+        trials = parse_jsonl((tmp_path / "r.jsonl").read_text())
+        assert [t.messages for t in trials] == [3_000_000_000_000_003] * 7
+        assert row.messages == sum(t.messages for t in trials) == 21_000_000_000_000_021
+
     def test_identical_invocations_are_byte_identical(self, tmp_path):
         argv = TINY_SLUSH + ["--seed", "5"]
         assert main(argv + ["--out", str(tmp_path / "x")]) == EXIT_OK
@@ -355,6 +367,8 @@ class TestExitCodes:
             (["snow-run", "--alpha", "inf"], "alpha"),
             (["analyze-chain", "--alpha", "inf"], "alpha"),
             (["avalanche-run", "--n", BIG, "--rounds", "10"], f"n={BIG}"),
+            (["slush-table", "--cells", "600", "--k", "200", "--a", "199",
+              "--phi", str(2**63 - 1), "--trials", "2"], "messages"),
         ],
     )
     def test_out_of_range_input_is_a_usage_error(self, capsys, argv, word):

@@ -26,7 +26,11 @@ The nine cases that write a run report (``slush-table-out``,
 re-recorded for report schema v2: the header comment reads ``v2``, every
 row gains a last ``accepted`` column (empty for slush and snow rows), and
 avalanche rows give ``per_node_iters`` as ``rounds / c``; their summary
-counts accepted workload vertices. Every ``.json`` and ``.jsonl`` file a
+counts accepted workload vertices. The two ``slush-table`` cases that
+simulate (``slush-table-out`` and ``slush-table-env-stdout``) were
+re-recorded when the Slush batch engine began drawing its waiting times by
+inversion from block-drawn uniforms, which changed the draws for a given
+seed but not their law. Every ``.json`` and ``.jsonl`` file a
 case writes must also parse as strict JSON, with no ``NaN`` or
 ``Infinity``.
 """
@@ -50,12 +54,12 @@ CASES = {
     "slush-table-out": (
         ["slush-table", "--cells", "20,30", "--k", "5", "--a", "4", "--trials", "12",
          "--seed", "4", "--out", "{tmp}/t"],
-        None, None, "3ab6999b51fa825dd4aacdc6caf73ffb88e1f84ac0d47ece5d1f8ea869b56c7e",
+        None, None, "2745558d653f58c02b3d20d93c70b4a2bfda7b34147605af1f7c4426e0ded567",
     ),
     "slush-table-env-stdout": (
         ["slush-table", "--cells", "24", "--k", "5", "--alpha", "0.7", "--trials", "6",
          "--phi", "500"],
-        "9", None, "f826e122f800f7e22db6b8c26fbd029d3247e8504c9a4118bbec92eb80210bd3",
+        "9", None, "ed43a20b84bb54955cecdba3839ed8663fbab0afc8943d20ddc781f3c9c23c91",
     ),
     "slush-table-garbage-env-with-flag": (
         ["slush-table", "--cells", "20", "--trials", "2", "--seed", "1"],

@@ -177,6 +177,28 @@ class TestBatchSlush:
         mean_iters = float(bat.per_node_iterations.mean())
         sem = float(bat.per_node_iterations.std(ddof=1)) / np.sqrt(6000)
         assert abs(mean_iters - t_per_node) < 4 * sem
+        # The spread too: on the interior states, (I - Q) m1 = 1 and
+        # (I - Q) m2 = 2 m1 - 1 give the absorption time's first two moments.
+        up, down = chain.up[1:c], chain.down[1:c]
+        eye_minus_q = np.diag(up + down) - np.diag(up[:-1], 1) - np.diag(down[1:], -1)
+        m1 = linalg.solve(eye_minus_q, np.ones(c - 1))
+        m2 = linalg.solve(eye_minus_q, 2 * m1 - 1)
+        assert m1[start - 1] / c == pytest.approx(t_per_node, rel=1e-9)
+        var_chain = (m2[start - 1] - m1[start - 1] ** 2) / c**2
+        dev = bat.per_node_iterations - mean_iters
+        var = float(dev.var(ddof=1))
+        se_var = math.sqrt((float(np.mean(dev**4)) - var**2) / 6000)
+        assert abs(var - var_chain) < 4 * se_var
+
+    def test_certain_move_takes_exactly_one_round(self):
+        # c=2, k=1, a=1 from 1 red: the scheduled node samples the other,
+        # which holds the other color, so the first round always moves.
+        # W = 1 + floor(E / lam) with lam = inf gives 1; ceil(E / lam) gives 0.
+        bat = run_slush_batch(slush_cfg(2, 1, 1, seed=6), 1, 400)
+        assert (bat.rounds == 1).all()
+        assert bat.converged.all()
+        assert (bat.messages == 1).all()
+        assert abs(float(bat.all_red.mean()) - 0.5) < 4 * math.sqrt(0.25 / 400)
 
     def test_unanimous_start_is_zero_rounds(self):
         cfg = slush_cfg(10, 3, 2)
@@ -203,13 +225,20 @@ class TestBatchSlush:
 
     def test_vanishing_move_probability_ends_at_budget(self):
         # At c=600, k=200, a=199 from 300 reds a move has probability far
-        # below 1e-19, where geometric waiting times saturate at the int64
+        # below 1e-19, so a wait dwarfs the budget and can pass the int64
         # maximum; the round counts must still stop exactly at phi.
         cfg = slush_cfg(600, 200, 199, phi=10**6)
         bat = run_slush_batch(cfg, 300, 40)
         assert (bat.rounds == 10**6).all()
         assert not bat.converged.any()
         assert (bat.messages == 200 * 10**6).all()
+
+    def test_message_count_past_int64_is_an_error(self):
+        # The same frozen-in-practice start with the largest budget: every
+        # trial ends at phi, and 200 * phi does not fit an int64 count.
+        cfg = slush_cfg(600, 200, 199, phi=2**63 - 1, seed=1)
+        with pytest.raises(ValueError, match=r"messages: k=200 times rounds=9223372036854775807"):
+            run_slush_batch(cfg, 300, 2)
 
 
 ALL_ADVERSARIES = (
