@@ -185,6 +185,8 @@ def _trial_records(
     batch: SlushBatch | SnowBatch, violations: Sequence[int], **shared: Any
 ) -> list[RunRecord]:
     """One record per trial of a batch; ``shared`` holds the config fields."""
+    if (longest := int(batch.rounds.max())) > 2**53:
+        raise ValueError(f"rounds={longest} is past 2**53, the last a float holds exactly")
     return [
         RunRecord(
             **shared, rounds=float(rounds), per_node_iters=float(rounds) / batch.c,

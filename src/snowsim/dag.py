@@ -120,23 +120,20 @@ class DagState:
 
     Work is bounded by the unsettled part of the replica. A vertex is
     *settled* once it is accepted, alone in its conflict set and all its
-    parents are settled; nothing about it can change again until another
-    spend of its output arrives, which unsettles it and its settled
-    progeny. Walks stop at settled vertices. The query results that reach
-    settled vertices are logged with the settled vertices where their walk
-    stopped, and are applied to the settled vertices' counters and
-    confidences only when those are read (``confidence``,
-    ``conflict_sets``, ``export_json_lines``). Strong preference is
-    remembered per vertex until some conflict set's preference flips.
-    Commitment has one rule, applied at the end of each query result to
-    the ancestry it updated and the children of each new acceptance
-    (``is_accepted``), so ``accepted`` is always closed under it.
+    parents are settled; it stays so until another spend of its output
+    arrives, which unsettles it and its settled progeny. Walks stop at
+    settled vertices, so a settled vertex's counter and confidence are
+    derived when read, from ``chits`` and the query order in ``queried``.
+    Strong preference is remembered per vertex until some conflict set's
+    preference flips. Commitment has one rule, applied at the end of each
+    query result to the ancestry it updated and the children of each new
+    acceptance (``is_accepted``), so ``accepted`` is always closed under it.
     """
 
     def __init__(self) -> None:
         self.vertices: dict[str, Vertex] = {}
         self._sets: dict[str, ConflictSet] = {}
-        self.queried: set[str] = set()
+        self.queried: dict[str, None] = {}  # in query order
         self.chits: set[str] = {GENESIS_ID}
         self._confidence: dict[str, int] = {}
         self.children: dict[str, list[str]] = {}
@@ -146,8 +143,6 @@ class DagState:
         self.settled: set[str] = set()
         self._unsettled: dict[str, None] = {}  # kept in insertion order
         self._settled_tips: set[str] = set()  # settled, with no settled child
-        # (settled vertices where the walk stopped, success) per query
-        self._deferred: list[tuple[tuple[str, ...], bool]] = []
         self._strong: dict[str, bool] = {}
         self.minted: set[str] = set()
         self.clock: int = 0
@@ -163,8 +158,8 @@ class DagState:
 
     @property
     def conflict_sets(self) -> dict[str, ConflictSet]:
-        """Every conflict set by its output, settled counters up to date."""
-        self._apply_deferred()
+        """Every conflict set by its output, settled counters derived on read."""
+        self._derive(self.settled)
         return self._sets
 
     # ------------------------------------------------------------------
@@ -248,6 +243,17 @@ class DagState:
         """
         return sorted(self._climb((tid,), stop), key=self._seq.__getitem__)
 
+    def _descend(self, root: str, stop: Container[str] = ()) -> set[str]:
+        # root plus every descendant reachable without entering stop
+        seen = {root}
+        stack = [root]
+        while stack:
+            for ch in self.children[stack.pop()]:
+                if ch not in seen and ch not in stop:
+                    seen.add(ch)
+                    stack.append(ch)
+        return seen
+
     def _accept(self, tid: str) -> None:
         self.accepted.add(tid)
         self.accept_log.append(tid)
@@ -270,44 +276,36 @@ class DagState:
 
     def _unsettle(self, root: str) -> None:
         # A second spend of a settled vertex's output: it and its settled
-        # progeny become ordinary vertices again, with exact counters.
-        self._apply_deferred()
-        gone = {root}
-        stack = [root]
-        while stack:
-            for ch in self.children[stack.pop()]:
-                if ch in self.settled and ch not in gone:
-                    gone.add(ch)
-                    stack.append(ch)
+        # progeny become ordinary vertices again, with their derived values.
+        # Their quiet clocks stay stale: no-op sweeps skip accepted vertices.
+        gone = self._descend(root, self._unsettled)
+        self._derive(gone)
         self.settled -= gone
         self._unsettled = dict.fromkeys(sorted([*self._unsettled, *gone], key=self._seq.__getitem__))
         self._settled_tips = {
             s for s in self.settled if not any(ch in self.settled for ch in self.children[s])
         }
 
-    def _apply_deferred(self) -> None:
-        # Replay each logged query result on the settled ancestry it
-        # reached. A settled vertex is alone in its set and is the set's
-        # preferred and last member, so only counter and confidence move.
-        # Its quiet clock is not replayed: a settled vertex is accepted,
-        # and the no-op sweep skips accepted vertices.
-        for edge, success in self._deferred:
-            for s in self._climb(edge, ()):
-                cs = self._sets[self.vertices[s].conflict_key]
-                if success:
-                    self._confidence[s] += 1
-                    cs.cnt += 1
-                else:
-                    cs.cnt = 0
-        self._deferred.clear()
+    def _derive(self, targets: Iterable[str]) -> None:
+        # A settled target is alone in its set and is its pref and last, so
+        # store as its confidence the chits in its reflexive progeny and as its
+        # counter the successes since the last failed query of that progeny.
+        rank = {q: i for i, q in enumerate(self.queried)}
+        for s in targets:
+            progeny = self._descend(s)
+            cnt = 0
+            for q in sorted((q for q in progeny if q in rank), key=rank.__getitem__):
+                cnt = cnt + 1 if q in self.chits else 0
+            self._confidence[s] = sum(q in self.chits for q in progeny)
+            self._sets[self.vertices[s].conflict_key].cnt = cnt
 
     # ------------------------------------------------------------------
     # confidence and preference
 
     def confidence(self, tid: str) -> int:
         """Chits collected across the reflexive progeny of ``tid``."""
-        if tid not in self._unsettled:
-            self._apply_deferred()
+        if tid in self.settled:
+            self._derive((tid,))
         return self._confidence[tid]
 
     def is_preferred(self, tid: str) -> bool:
@@ -365,25 +363,18 @@ class DagState:
 
         At quorum the vertex joins ``chits`` and every reflexive ancestor's
         conflict set updates preference and its consecutive counter; below
-        quorum it never earns a chit here and those counters reset. Settled
-        ancestors receive the outcome when they are next read. The
+        quorum it never earns a chit here and those counters reset. The walk
+        stops at settled ancestors, whose values are derived when read. The
         commitment pass (``is_accepted``) then runs from ``tid``.
         """
         if tid not in self.vertices:
             raise KeyError(tid)
         if tid in self.queried:
             raise RequeryError(f"{tid} was already queried")
-        self.queried.add(tid)
+        self.queried[tid] = None
         self.clock += 1
-        if tid in self.settled:
-            ancestors, edge = [], {tid}
-        else:
-            ancestors = self.reflexive_ancestors(tid, self.settled)
-            edge = {p for a in ancestors for p in self.vertices[a].parents if p in self.settled}
-        success = yes_votes >= params.a
-        if edge:
-            self._deferred.append((tuple(edge), success))
-        if success:
+        ancestors = self.reflexive_ancestors(tid, self.settled)
+        if yes_votes >= params.a:
             self.chits.add(tid)
             for aid in ancestors:
                 self._confidence[aid] += 1
@@ -545,7 +536,7 @@ class DagState:
     def export_json_lines(self) -> list[str]:
         """Serialize every vertex, parents before children, one JSON object
         per line. Stable across runs for identical histories."""
-        self._apply_deferred()
+        self._derive(self.settled)
         lines = []
         for vid in self._order:
             v = self.vertices[vid]

@@ -67,9 +67,12 @@ class RunRecord:
 # CSV columns in field order, each parsed back with its field's type; an empty
 # ``accepted`` cell is None.
 _COLUMNS = tuple(field.name for field in fields(RunRecord))
+_HINTS = get_type_hints(RunRecord)
 _CONVERT: dict[str, Callable[[str], object]] = {
-    **get_type_hints(RunRecord), "accepted": lambda cell: int(cell) if cell else None,
+    **_HINTS, "accepted": lambda cell: int(cell) if cell else None,
 }
+# The JSON types of each column: a float column also takes an int; none takes a bool.
+_JSON_TYPES = {name: (int, float) if hint is float else hint for name, hint in _HINTS.items()}
 
 
 def config_digest(values: Mapping[str, object]) -> str:
@@ -159,6 +162,9 @@ def parse_jsonl(text: str) -> list[RunRecord]:
         missing = set(_COLUMNS) - set(obj)
         if missing:
             raise ReportError(f"line {idx}: missing fields {sorted(missing)}")
+        for name in _COLUMNS:
+            if isinstance(obj[name], bool) or not isinstance(obj[name], _JSON_TYPES[name]):
+                raise ReportError(f"line {idx}, column {name}: wrong type {obj[name]!r}")
         try:
             out.append(RunRecord(**obj))
         except TypeError as exc:

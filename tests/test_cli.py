@@ -369,6 +369,8 @@ class TestExitCodes:
             (["avalanche-run", "--n", BIG, "--rounds", "10"], f"n={BIG}"),
             (["slush-table", "--cells", "600", "--k", "200", "--a", "199",
               "--phi", str(2**63 - 1), "--trials", "2"], "messages"),
+            (["slush-table", "--cells", "4", "--k", "3", "--a", "3",
+              "--phi", "3000000000000000001", "--trials", "1"], "rounds"),
         ],
     )
     def test_out_of_range_input_is_a_usage_error(self, capsys, argv, word):

@@ -808,6 +808,49 @@ class TestCachesAgainstWalks:
         assert dag.conflict_sets["coin"].pref == "rival"
         assert not dag.is_strongly_preferred(a) and not dag.is_strongly_preferred(c)
 
+    def test_unsettling_catches_up_on_unread_results(self):
+        # Results reach the settled chain with nothing read in between (the
+        # shadow reads conflict_sets, so it is fed afterwards), and the
+        # rival's arrival is the first time the chain's values are needed.
+        dag = DagState()
+        dag.mint_utxo("coin")
+        (a,) = dag.on_generate_tx(b"a", ["coin"])
+        dag.record_query_result(a, 1, FAST)
+        history = [(a, True)]
+        prev = a
+        for i, vote in enumerate((1, 0, 1, 1)):
+            dag.on_receive_tx(Vertex(f"v{i}", b"", (prev,), f"k{i}"))
+            dag.record_query_result(f"v{i}", vote, FAST)
+            history.append((f"v{i}", vote >= FAST.a))
+            prev = f"v{i}"
+        assert dag.settled == {GENESIS_ID, a, "v0", "v1", "v2", "v3"}
+        dag.on_receive_tx(Vertex("rival", b"", (GENESIS_ID,), "coin"))
+        dag.on_receive_tx(Vertex("w", b"", ("v3",), "kw"))
+        dag.record_query_result("w", 0, FAST)
+        shadow = ShadowCounters()
+        for vid, success in [*history, ("w", False)]:
+            shadow.record(dag, vid, success)
+        assert_caches_exact(dag, shadow)
+
+    def test_query_of_a_vertex_its_progeny_already_settled(self):
+        dag = DagState()
+        shadow = ShadowCounters()
+
+        def query(vid: str, vote: int) -> None:
+            dag.record_query_result(vid, vote, FAST)
+            shadow.record(dag, vid, vote >= FAST.a)
+            assert_caches_exact(dag, shadow)
+
+        dag.on_receive_tx(Vertex("A", b"", (GENESIS_ID,), "uA"))
+        dag.on_receive_tx(Vertex("B", b"", ("A",), "uB"))
+        query("B", 1)
+        assert {"A", "B"} <= dag.settled
+        query("A", 0)
+        assert "A" not in dag.chits and dag.conflict_sets["uA"].cnt == 0
+        dag.on_receive_tx(Vertex("C", b"", ("B",), "uC"))
+        query("C", 1)
+        assert (dag.confidence("A"), dag.conflict_sets["uA"].cnt) == (2, 1)
+
     def test_settled_vertices_stay_on_the_frontier_until_they_have_a_settled_child(self):
         dag = DagState()
         dag.mint_utxo("coin")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -140,6 +141,22 @@ class TestJsonl:
     def test_rejects_garbage(self):
         with pytest.raises(ReportError):
             parse_jsonl("not json\n")
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("rounds", "12"), ("n", 100.0), ("violations", True), ("rounds", False),
+         ("config_hash", 7), ("adversary", None), ("accepted", 1.5), ("messages", None)],
+    )
+    def test_rejects_a_value_of_the_wrong_type(self, name, value):
+        obj = json.loads(format_jsonl([record(accepted=3)]))
+        obj[name] = value
+        with pytest.raises(ReportError, match=f"line 2, column {name}"):
+            parse_jsonl(format_jsonl([record()]) + json.dumps(obj) + "\n")
+
+    def test_integral_rounds_and_null_accepted_are_accepted(self):
+        text = format_jsonl([record(rounds=12.0, per_node_iters=2.0)]).replace(".0,", ",")
+        assert '"rounds":12,' in text and '"accepted":null' in text
+        assert parse_jsonl(text) == [record(rounds=12.0, per_node_iters=2.0)]
 
 
 class TestDigest:
