@@ -9,7 +9,7 @@ The package splits along the same lines as the protocol family itself:
   acceptance, and adaptive parent selection.
 - :mod:`snowsim.analysis` -- birth-death chain construction and the safety
   design machinery (phase shift, point of no return, run-length thresholds,
-  drift rates, feasibility search).
+  feasibility search).
 - :mod:`snowsim.sim` -- the round-based network simulator: scheduler,
   adversaries, vectorized Monte Carlo engines, and the DAG network runner.
 - :mod:`snowsim.reports` -- CSV / JSON-lines emission for run outcomes.

@@ -6,12 +6,12 @@ from snowsim.analysis.chains import (
     build_slush_chain,
     build_snowflake_chain,
     ever_hit_probability,
+    ever_hit_profile,
     expected_absorption_time,
     hitting_prob_within,
     hitting_profile,
 )
 from snowsim.analysis.design import (
-    DriftExpectation,
     Infeasible,
     SafetyDesign,
     churn_adjusted_delta,
@@ -21,9 +21,6 @@ from snowsim.analysis.design import (
     phase_shift_index,
     run_length_beta,
     run_length_tail,
-    snowball_divergence_time,
-    snowball_drift,
-    snowball_kappa_rate,
 )
 
 __all__ = [
@@ -35,16 +32,13 @@ __all__ = [
     "hitting_prob_within",
     "hitting_profile",
     "ever_hit_probability",
+    "ever_hit_profile",
     "Infeasible",
     "SafetyDesign",
-    "DriftExpectation",
     "phase_shift_index",
     "find_point_of_no_return",
     "run_length_tail",
     "run_length_beta",
-    "snowball_drift",
-    "snowball_kappa_rate",
-    "snowball_divergence_time",
     "early_commit_threshold",
     "churn_adjusted_delta",
     "feasibility_search",

@@ -17,12 +17,6 @@ try k = 1, 2, ... and return the first (k, a, beta, delta) satisfying both
 conditions.  Infeasibility (the Byzantine share too large, the horizon too
 short) is an expected result of that search, not an exception, and is
 returned as an ``Infeasible`` value carrying the reason.
-
-The drift helpers quantify why the confidence variant outruns a balancing
-adversary: at a split ``delta`` past the midpoint, the leading color's
-expected confidence grows strictly faster, at a rate bounded below via the
-Hoeffding/KL substitution, and the time for the accumulated gap to defeat
-the adversary's correction budget scales like the cube root of ``ln eps``.
 """
 
 from __future__ import annotations
@@ -40,19 +34,15 @@ from snowsim.analysis.chains import (
     ever_hit_profile,
     hitting_profile,
 )
-from snowsim.sampling import _kl_bernoulli, _log_choose, _tail_raw
+from snowsim.sampling import _log_choose, _tail_raw
 
 __all__ = [
     "Infeasible",
     "SafetyDesign",
-    "DriftExpectation",
     "phase_shift_index",
     "find_point_of_no_return",
     "run_length_tail",
     "run_length_beta",
-    "snowball_drift",
-    "snowball_kappa_rate",
-    "snowball_divergence_time",
     "early_commit_threshold",
     "churn_adjusted_delta",
     "feasibility_search",
@@ -217,87 +207,6 @@ def run_length_beta(p: float, trials: int, eps: float) -> int | Infeasible:
         else:
             lo = mid + 1
     return lo
-
-
-@dataclass(frozen=True)
-class DriftExpectation:
-    """Expected confidences after t rounds for a red-leaning node u and a
-    blue-leaning node v, at a frozen split of c/2 + delta red."""
-
-    u_red: float
-    u_blue: float
-    v_red: float
-    v_blue: float
-
-
-def snowball_drift(c: int, b: int, k: int, a: int, delta: int, t: int) -> DriftExpectation:
-    """Per-color expected confidence growth over ``t`` rounds at a fixed split.
-
-    The four increments follow the worst-case envelope: each color's success
-    probability for a given node is evaluated with the Byzantine mass added
-    to whichever support the accumulated quantity tracks, and the node-side
-    prefactors are the probabilities 1/2 +- delta/c of the scheduler picking
-    a node from that side.  Growth is linear in t by construction.
-    """
-    if c % 2 != 0:
-        raise ValueError("the split model needs an even number of correct nodes")
-    if not 0 <= delta <= c // 2:
-        raise ValueError(f"delta={delta} outside [0, c/2]")
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    n = c + b
-    half = c // 2
-    lead = 0.5 + delta / c
-    trail = 0.5 - delta / c
-    u_red = lead * _tail_raw(n, half + delta + b, k, a)
-    u_blue = lead * _tail_raw(n, half - delta + b, k, a)
-    v_red = trail * _tail_raw(n, half + delta, k, a)
-    v_blue = trail * _tail_raw(n, half - delta + b, k, a)
-    return DriftExpectation(t * u_red, t * u_blue, t * v_red, t * v_blue)
-
-
-def snowball_kappa_rate(c: int, b: int, k: int, a: int, delta: int) -> float:
-    """Lower bound on the per-round shrink rate of the adversary's margin.
-
-    At a split of delta, a trailing-side node succeeds for the leading color
-    with probability ~ exp(-k D(alpha, q+)) and for the trailing color with
-    ~ exp(-k D(alpha, q-)), where q+- are the support ratios c/2 +- delta + b
-    over the population.  Their difference, weighted by the probability of
-    picking a trailing node, is the rate at which the confidence gap the
-    adversary must keep correcting grows; it is 0 at delta = 0 and increases
-    with the split.
-    """
-    if c % 2 != 0:
-        raise ValueError("the split model needs an even number of correct nodes")
-    if not 0 <= delta <= c // 2:
-        raise ValueError(f"delta={delta} outside [0, c/2]")
-    n = c + b
-    alpha = a / k
-    q_plus = (c // 2 + delta + b) / n
-    q_minus = (c // 2 - delta + b) / n
-    trail = 0.5 - delta / c
-    return trail * (
-        math.exp(-k * _kl_bernoulli(alpha, q_plus)) - math.exp(-k * _kl_bernoulli(alpha, q_minus))
-    )
-
-
-def snowball_divergence_time(c: int, b: int, delta: int, eps: float) -> float | Infeasible:
-    """Rounds until the confidence gap at split delta exceeds the adversary's
-    correction ability except with probability eps.
-
-    Inverts the concentration bound exp(-2 t^3 (1/2 + delta/c)^2
-    (2 delta/(c+b))^2) = eps.  A perfectly balanced split (delta = 0) never
-    diverges in expectation, reported as Infeasible.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps={eps} outside (0, 1)")
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    if delta == 0:
-        return Infeasible("no drift at a perfectly balanced split")
-    lead = 0.5 + delta / c
-    gap = 2.0 * delta / (c + b)
-    return (math.log(eps) / (-2.0 * lead**2 * gap**2)) ** (1.0 / 3.0)
 
 
 def early_commit_threshold(n: int, c: int, k: int, start_known: int = 1) -> float:

@@ -64,12 +64,20 @@ class RunRecord:
             raise ReportError("counts must be nonnegative")
 
 
-# CSV columns in field order, each parsed back with its field's type; an empty
-# ``accepted`` cell is None.
+def _finite_float(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {cell!r}")
+    return value
+
+
+# CSV columns in field order, each parsed back with its field's type; a float
+# cell must be finite and an empty ``accepted`` cell is None.
 _COLUMNS = tuple(field.name for field in fields(RunRecord))
 _HINTS = get_type_hints(RunRecord)
 _CONVERT: dict[str, Callable[[str], object]] = {
-    **_HINTS, "accepted": lambda cell: int(cell) if cell else None,
+    **{name: _finite_float if hint is float else hint for name, hint in _HINTS.items()},
+    "accepted": lambda cell: int(cell) if cell else None,
 }
 # The JSON types of each column: a float column also takes an int; none takes a bool.
 _JSON_TYPES = {name: (int, float) if hint is float else hint for name, hint in _HINTS.items()}
@@ -163,8 +171,11 @@ def parse_jsonl(text: str) -> list[RunRecord]:
         if missing:
             raise ReportError(f"line {idx}: missing fields {sorted(missing)}")
         for name in _COLUMNS:
-            if isinstance(obj[name], bool) or not isinstance(obj[name], _JSON_TYPES[name]):
-                raise ReportError(f"line {idx}, column {name}: wrong type {obj[name]!r}")
+            value = obj[name]
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[name]):
+                raise ReportError(f"line {idx}, column {name}: wrong type {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ReportError(f"line {idx}, column {name}: non-finite value {value!r}")
         try:
             out.append(RunRecord(**obj))
         except TypeError as exc:

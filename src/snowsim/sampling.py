@@ -1,17 +1,14 @@
 """Probability primitives shared by the simulator and the analysis layer.
 
-Everything in this module answers one of two questions about subsampled
-voting.  First: if ``x`` of ``n`` nodes currently hold a color and we query a
-uniform sample of ``k`` nodes without replacement, what is the chance that at
-least ``a`` of them answer with that color?  That is a hypergeometric tail,
+The question behind subsampled voting: if ``x`` of ``n`` nodes currently
+hold a color and we query a uniform sample of ``k`` nodes without
+replacement, what is the chance that at least ``a`` of them answer with that
+color?  That is a hypergeometric tail,
 
     P(H(n, x, k) >= a) = sum_{j=a}^{k} C(x, j) C(n-x, k-j) / C(n, k),
 
 and it is the transition kernel for every birth-death chain in
-:mod:`snowsim.analysis`.  Second: how fast does that tail decay as the sample
-size grows?  The Chernoff-Hoeffding exponent, the Bernoulli Kullback-Leibler
-divergence ``_kl_bernoulli``, answers that and is what the drift-rate analysis
-substitutes for the exact tail.
+:mod:`snowsim.analysis`.
 
 The tail shows up deep in safety arguments at magnitudes like 1e-19 (and the
 design searches push it toward 1e-30), so plain summation of ``scipy.stats``
@@ -190,18 +187,3 @@ def hyper_tail(q: TailQuery) -> float:
     module docstring for how.
     """
     return _tail_raw(q.population_n, q.successes_x, q.sample_k, q.threshold_a)
-
-
-def _kl_bernoulli(alpha: float, q: float) -> float:
-    """D(alpha || q) for Bernoulli parameters, the exponent of the Chernoff
-    bound, with the alpha -> 0 and alpha -> 1 limits."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q={q} outside (0, 1)")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha={alpha} outside [0, 1]")
-    terms = 0.0
-    if alpha > 0.0:
-        terms += alpha * math.log(alpha / q)
-    if alpha < 1.0:
-        terms += (1.0 - alpha) * math.log((1.0 - alpha) / (1.0 - q))
-    return terms

@@ -1,9 +1,7 @@
-"""Safety design machinery: run lengths, phase shifts, searches, drift.
+"""Safety design machinery: run lengths, phase shifts, searches.
 
 Oracles: an exhaustive enumeration of Bernoulli sequences for the run-length
-distribution, the exact-rational evaluation of the knowledge-spread sum, and
-independently written second implementations for the drift-rate and
-divergence-time formulas (values frozen from a separate evaluation).
+distribution and the exact-rational evaluation of the knowledge-spread sum.
 """
 
 from __future__ import annotations
@@ -30,9 +28,6 @@ from snowsim.analysis import (
     phase_shift_index,
     run_length_beta,
     run_length_tail,
-    snowball_divergence_time,
-    snowball_drift,
-    snowball_kappa_rate,
 )
 
 
@@ -176,68 +171,6 @@ class TestRunLength:
     def test_beta_capped_at_trials(self):
         # p so high that even a full-length run is too likely.
         assert isinstance(run_length_beta(0.999, 20, 1e-12), Infeasible)
-
-
-class TestDrift:
-    def test_balanced_split_is_symmetric(self):
-        d = snowball_drift(c=100, b=0, k=5, a=4, delta=0, t=50)
-        assert d.u_red == pytest.approx(d.u_blue)
-        assert d.v_red == pytest.approx(d.v_blue)
-        assert d.u_red == pytest.approx(d.v_red)
-
-    def test_leader_grows_faster(self):
-        for delta in (1, 5, 20, 49):
-            d = snowball_drift(c=100, b=10, k=5, a=4, delta=delta, t=10)
-            assert d.u_red > d.u_blue
-
-    def test_linear_in_t(self):
-        one = snowball_drift(100, 10, 5, 4, 10, 1)
-        ten = snowball_drift(100, 10, 5, 4, 10, 10)
-        assert ten.u_red == pytest.approx(10 * one.u_red)
-        assert ten.v_blue == pytest.approx(10 * one.v_blue)
-
-    def test_odd_split_rejected(self):
-        with pytest.raises(ValueError):
-            snowball_drift(101, 10, 5, 4, 10, 1)
-
-
-class TestKappaRate:
-    def test_zero_at_balance(self):
-        assert snowball_kappa_rate(1000, 200, 10, 8, 0) == 0.0
-
-    def test_increasing_in_delta(self):
-        rates = [snowball_kappa_rate(1000, 200, 10, 8, d) for d in (0, 10, 50, 100, 200)]
-        assert rates == sorted(rates)
-        assert all(r >= 0 for r in rates)
-
-    def test_frozen_second_implementation_value(self):
-        # Independently evaluated from the formula in a separate script.
-        got = snowball_kappa_rate(1000, 200, 10, 8, 100)
-        assert got == pytest.approx(0.20020127171028557, rel=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            snowball_kappa_rate(1000, 200, 10, 8, 500)  # q_plus = 1
-
-
-class TestDivergenceTime:
-    def test_plug_back_identity(self):
-        c, b, delta, eps = 1000, 200, 100, 1e-9
-        t = snowball_divergence_time(c, b, delta, eps)
-        lead = 0.5 + delta / c
-        gap = 2 * delta / (c + b)
-        assert math.exp(-2 * t**3 * lead**2 * gap**2) == pytest.approx(eps, rel=1e-9)
-
-    def test_decreasing_in_delta(self):
-        ts = [snowball_divergence_time(1000, 200, d, 1e-9) for d in (10, 50, 100, 300)]
-        assert ts == sorted(ts, reverse=True)
-
-    def test_frozen_value(self):
-        got = snowball_divergence_time(1000, 200, 100, 1e-9)
-        assert got == pytest.approx(10.119119721192588, rel=1e-12)
-
-    def test_balanced_split_infeasible(self):
-        assert isinstance(snowball_divergence_time(1000, 200, 0, 1e-9), Infeasible)
 
 
 def oracle_early_commit(n: int, c: int, k: int) -> float:

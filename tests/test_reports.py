@@ -107,9 +107,14 @@ class TestCsv:
             parse_csv(text)
 
     def test_rejects_non_numeric_cell(self):
-        text = format_csv([record()]).replace(",100,", ",many,")
-        with pytest.raises(ReportError, match="column n"):
-            parse_csv(text)
+        text = format_csv([record()])
+        for old, new, column in [(",100,", ",many,", "n"),
+                                 (",512.25,", ",inf,", "rounds"),
+                                 (",512.25,", ",nan,", "rounds"),
+                                 (",14.390625,", ",inf,", "per_node_iters"),
+                                 (",14.390625,", ",nan,", "per_node_iters")]:
+            with pytest.raises(ReportError, match=f"row 2, column {column}:"):
+                parse_csv(text.replace(old, new))
 
     def test_output_is_deterministic(self):
         recs = [record(), record(adversary="refuse", messages=7)]
@@ -145,7 +150,8 @@ class TestJsonl:
     @pytest.mark.parametrize(
         "name, value",
         [("rounds", "12"), ("n", 100.0), ("violations", True), ("rounds", False),
-         ("config_hash", 7), ("adversary", None), ("accepted", 1.5), ("messages", None)],
+         ("config_hash", 7), ("adversary", None), ("accepted", 1.5), ("messages", None),
+         ("rounds", math.inf), ("per_node_iters", math.nan)],
     )
     def test_rejects_a_value_of_the_wrong_type(self, name, value):
         obj = json.loads(format_jsonl([record(accepted=3)]))

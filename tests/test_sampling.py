@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from snowsim.sampling import (
     Rng,
     TailQuery,
-    _kl_bernoulli,
     _tail_array,
     _tail_raw,
     hyper_tail,
@@ -104,7 +103,8 @@ class TestHyperTail:
     def test_tail_below_hoeffding_bound_on_grid(self):
         # P(H >= a) = P(k - H <= k - a); apply the Chernoff-Hoeffding bound
         # exp(-k D(p - psi || p)) to the complement color, whose ratio is
-        # p = 1 - x/n, at deviation psi = (1-x/n) - (k-a)/k.
+        # p = 1 - x/n, at deviation psi = (1-x/n) - (k-a)/k.  D is the
+        # Bernoulli Kullback-Leibler divergence; 0 < p - psi < p < 1 here.
         rng = np.random.default_rng(7)
         checked = 0
         for _ in range(400):
@@ -119,7 +119,9 @@ class TestHyperTail:
             if not 0.0 < p - psi < p < 1.0:
                 continue
             tail = _tail(n, x, k, a)
-            assert tail <= math.exp(-k * _kl_bernoulli(p - psi, p)) * (1 + 1e-9)
+            q = p - psi
+            kl = q * math.log(q / p) + (1 - q) * math.log((1 - q) / (1 - p))
+            assert tail <= math.exp(-k * kl) * (1 + 1e-9)
             checked += 1
         assert checked > 100
 
@@ -135,37 +137,6 @@ class TestTailArray:
         xs = np.arange(n + 1)
         want = np.array([_tail_raw(n, int(x), k, a) for x in xs])
         assert np.array_equal(_tail_array(n, xs, k, a), want)
-
-
-class TestBounds:
-    def test_kl_anchor(self):
-        d = 0.7 * math.log(0.7 / 0.8) + 0.3 * math.log(0.3 / 0.2)
-        assert _kl_bernoulli(0.7, 0.8) == pytest.approx(d)
-
-    def test_kl_endpoint_limits_and_domain(self):
-        # At alpha = 0 or 1 only one term survives; 0 log 0 is taken as 0.
-        assert _kl_bernoulli(0.0, 0.25) == math.log(1 / 0.75)
-        assert _kl_bernoulli(1.0, 0.25) == math.log(1 / 0.25)
-        assert _kl_bernoulli(0.25, 0.25) == 0.0
-        for alpha, q in ((0.5, 0.0), (0.5, 1.0), (-0.1, 0.5), (1.1, 0.5)):
-            with pytest.raises(ValueError):
-                _kl_bernoulli(alpha, q)
-
-    def test_monotone_in_deviation(self):
-        # D(p - psi || p) grows with the deviation psi on either side of p.
-        shares = (0.0, 0.05, 0.25, 0.5, 1.0)
-        for p in (0.2, 0.55, 0.8):
-            below = [_kl_bernoulli(p - f * p, p) for f in shares]
-            above = [_kl_bernoulli(p + f * (1 - p), p) for f in shares]
-            assert below == sorted(below) and len(set(below)) == len(below)
-            assert above == sorted(above) and len(set(above)) == len(above)
-
-    def test_kl_form_dominates_chvatal(self):
-        # Pinsker: D(p - psi || p) >= 2 psi^2, so the KL exponent is never
-        # weaker than Chvatal's quadratic one.
-        for p in (0.55, 0.7, 0.9):
-            for psi in (0.01, 0.1, p / 2):
-                assert _kl_bernoulli(p - psi, p) >= 2 * psi * psi * (1 - 1e-12)
 
 
 class TestRng:
