@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -45,13 +46,7 @@ from snowsim.analysis.chains import (
 from snowsim.analysis.design import Infeasible, feasibility_search
 from snowsim.dag import DagParams
 from snowsim.machines import ProtocolParams, Variant
-from snowsim.reports import (
-    RunRecord,
-    config_digest,
-    format_csv,
-    format_jsonl,
-    summarize,
-)
+from snowsim.reports import RunRecord, aggregate, config_digest, format_csv, format_jsonl
 from snowsim.sim import (
     Adversary,
     AvalancheConfig,
@@ -196,25 +191,15 @@ def _trial_records(
     ]
 
 
-def _aggregate(per_trial: Sequence[RunRecord], stats: Mapping[str, float]) -> RunRecord:
-    """The aggregate row: ``summarize(per_trial)``'s means and totals over the
-    fields the trials share, and the total of ``accepted`` where trials count it."""
-    accepted = None if per_trial[0].accepted is None else sum(r.accepted for r in per_trial)
-    return replace(
-        per_trial[0], rounds=stats["mean_rounds"], per_node_iters=stats["mean_per_node_iters"],
-        violations=int(stats["violations"]), messages=int(stats["messages"]), accepted=accepted,
-    )
-
-
 def _write_reports(
     out: str | None,
     summary: str,
-    aggregate: Sequence[RunRecord],
+    rows: Sequence[RunRecord],
     per_trial: Sequence[RunRecord],
 ) -> None:
     """Print the human summary and write the reports. Without ``out`` the CSV
     is standard output, so the summary goes to standard error."""
-    csv_text = format_csv(aggregate)
+    csv_text = format_csv(rows)
     if out is None:
         print(summary, file=sys.stderr)
         sys.stdout.write(csv_text)
@@ -249,7 +234,7 @@ def cmd_slush_table(cfg: Mapping[str, Any]) -> int:
     trials = cfg.get("trials", 100)
     seed = cfg.get("seed", 0)
 
-    aggregate: list[RunRecord] = []
+    rows: list[RunRecord] = []
     per_trial: list[RunRecord] = []
     lines = []
     for idx, c in enumerate(cells):
@@ -264,14 +249,14 @@ def cmd_slush_table(cfg: Mapping[str, Any]) -> int:
             batch, [0] * trials,
             config_hash=digest, n=c, c=c, b=0, k=k, a=a, beta=1, adversary="none",
         )
-        stats = summarize(cell)
-        aggregate.append(_aggregate(cell, stats))
+        row = aggregate(cell)
+        rows.append(row)
         per_trial.extend(cell)
-        lines.append(
-            f"c={c} trials={trials} per_node_iters mean={stats['mean_per_node_iters']:.4f} "
-            f"stddev={stats['stddev_per_node_iters']:.4f}"
-        )
-    _write_reports(cfg.get("out"), "\n".join(lines), aggregate, per_trial)
+        mean = row.per_node_iters
+        spread = sum((rec.per_node_iters - mean) ** 2 for rec in cell)
+        stddev = math.sqrt(spread / (trials - 1)) if trials > 1 else 0.0
+        lines.append(f"c={c} trials={trials} per_node_iters mean={mean:.4f} stddev={stddev:.4f}")
+    _write_reports(cfg.get("out"), "\n".join(lines), rows, per_trial)
     return EXIT_OK
 
 
@@ -309,14 +294,14 @@ def cmd_snow_run(cfg: Mapping[str, Any]) -> int:
         batch, batch.safety_violation,
         config_hash=digest, n=n, c=c, b=b, k=k, a=a, beta=beta, adversary=adversary.value,
     )
-    aggregate = _aggregate(per_trial, summarize(per_trial))
+    row = aggregate(per_trial)
     decided = int(batch.all_decided.sum())
     summary = (
         f"{variant.value} n={n} b={b} adversary={adversary.value}: "
-        f"decided {decided}/{trials}, violations {aggregate.violations}, "
-        f"mean rounds {aggregate.rounds:.1f}"
+        f"decided {decided}/{trials}, violations {row.violations}, "
+        f"mean rounds {row.rounds:.1f}"
     )
-    _write_reports(cfg.get("out"), summary, [aggregate], per_trial)
+    _write_reports(cfg.get("out"), summary, [row], per_trial)
     return EXIT_OK
 
 
@@ -370,14 +355,14 @@ def cmd_avalanche_run(cfg: Mapping[str, Any]) -> int:
         )
         if t == 0 and dump_dag is not None:
             Path(dump_dag).write_text("\n".join(out.dag_export) + "\n", encoding="utf-8")
-    aggregate = _aggregate(per_trial, summarize(per_trial))
-    accepted = aggregate.accepted
-    per_node = f"{aggregate.messages / (accepted * c):.2f}" if accepted else "n/a"
+    row = aggregate(per_trial)
+    accepted = row.accepted
+    per_node = f"{row.messages / (accepted * c):.2f}" if accepted else "n/a"
     summary = (
         f"avalanche n={n} b={b}: accepted {accepted}/{workload_total} workload vertices "
         f"({hostage_total} hostage), messages/accepted/node {per_node}"
     )
-    _write_reports(cfg.get("out"), summary, [aggregate], per_trial)
+    _write_reports(cfg.get("out"), summary, [row], per_trial)
     if broken:
         print("internal error: a replica accepted two conflicting spends", file=sys.stderr)
         return EXIT_INTERNAL

@@ -147,8 +147,7 @@ class DagState:
         self.minted: set[str] = set()
         self.clock: int = 0
         self._seq: dict[str, int] = {}
-        self._order: list[str] = []
-        self._query_cursor: int = 0
+        self._unqueried: dict[str, None] = {}  # non-genesis, in admission order
         # Round of the last counter progress or failed no-op check.
         self._quiet_since: dict[str, int] = {}
         # Next helper sequence number; a key means the vertex has had a helper.
@@ -168,7 +167,8 @@ class DagState:
     def _admit(self, v: Vertex) -> None:
         self.vertices[v.id] = v
         self._seq[v.id] = len(self._seq)
-        self._order.append(v.id)
+        if v.id != GENESIS_ID:
+            self._unqueried[v.id] = None
         self.children[v.id] = []
         for p in v.parents:
             self.children[p].append(v.id)
@@ -372,6 +372,7 @@ class DagState:
         if tid in self.queried:
             raise RequeryError(f"{tid} was already queried")
         self.queried[tid] = None
+        self._unqueried.pop(tid, None)
         self.clock += 1
         ancestors = self.reflexive_ancestors(tid, self.settled)
         if yes_votes >= params.a:
@@ -406,12 +407,7 @@ class DagState:
         Returns the same id until that vertex is resolved. Genesis never
         queries. None means this replica has no pending work.
         """
-        while self._query_cursor < len(self._order):
-            vid = self._order[self._query_cursor]
-            if vid != GENESIS_ID and vid not in self.queried:
-                return vid
-            self._query_cursor += 1
-        return None
+        return next(iter(self._unqueried), None)
 
     # ------------------------------------------------------------------
     # decisions
@@ -488,8 +484,7 @@ class DagState:
         normal parent selection, which lets one helper bump the whole
         unaccepted tail.
         """
-        waiting = (v for v in self._order[self._query_cursor :] if v not in self.queried)
-        pending = self._climb(waiting, self.settled) - self.accepted
+        pending = self._climb(self._unqueried, self.settled) - self.accepted
         out: list[Vertex] = []
         for vid in list(self._unsettled):
             if vid in self.accepted or vid in pending:
@@ -538,8 +533,7 @@ class DagState:
         per line. Stable across runs for identical histories."""
         self._derive(self.settled)
         lines = []
-        for vid in self._order:
-            v = self.vertices[vid]
+        for vid, v in self.vertices.items():
             lines.append(
                 json.dumps(
                     {

@@ -1,6 +1,6 @@
 """Report records and their serialized forms.
 
-One experiment run (a single trial or one aggregated Monte Carlo cell)
+One experiment run (a single trial or the aggregate of a cell's trials)
 becomes one :class:`RunRecord`. Records travel in two formats:
 
 * JSON lines, the lossless form: one strict JSON object per line (no
@@ -20,7 +20,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable, Mapping, Sequence, get_type_hints
 
 SCHEMA_VERSION = 2
@@ -184,25 +184,22 @@ def parse_jsonl(text: str) -> list[RunRecord]:
 
 
 # ---------------------------------------------------------------------------
-# Summaries
+# Aggregation
 
 
-def summarize(records: Sequence[RunRecord]) -> dict[str, float]:
-    """Aggregate statistics recomputable from the per-trial records (totals as exact ints)."""
+def aggregate(records: Sequence[RunRecord]) -> RunRecord:
+    """The row of several trials of one config: the first record's shared
+    fields, the means of ``rounds`` and ``per_node_iters``, and exact int
+    totals of ``violations``, ``messages`` and, where trials count it,
+    ``accepted``."""
     if not records:
-        raise ReportError("no records to summarize")
-    iters = [rec.per_node_iters for rec in records]
-    mean = sum(iters) / len(iters)
-    if len(iters) > 1:
-        var = sum((x - mean) ** 2 for x in iters) / (len(iters) - 1)
-        stddev = math.sqrt(var)
-    else:
-        stddev = 0.0
-    return {
-        "records": float(len(records)),
-        "mean_rounds": sum(rec.rounds for rec in records) / len(records),
-        "mean_per_node_iters": mean,
-        "stddev_per_node_iters": stddev,
-        "violations": sum(rec.violations for rec in records),
-        "messages": sum(rec.messages for rec in records),
-    }
+        raise ReportError("no records to aggregate")
+    first, count = records[0], len(records)
+    return replace(
+        first,
+        rounds=sum(rec.rounds for rec in records) / count,
+        per_node_iters=sum(rec.per_node_iters for rec in records) / count,
+        violations=sum(rec.violations for rec in records),
+        messages=sum(rec.messages for rec in records),
+        accepted=None if first.accepted is None else sum(rec.accepted for rec in records),
+    )

@@ -25,23 +25,20 @@ bit (its exponentials come from ``math.exp`` too, as ``np.exp`` can differ in
 the last bit).  Its memory is linear in the number of states; it never holds
 a states x support table.
 
-Randomness is provided by Philox, a counter-based bit generator: two ``Rng``
-handles built from the same seed but different stream ids yield independent
-streams, and the same (seed, stream_id) pair reproduces the same draws
-bit for bit on any platform.  Monte Carlo trials each get their own stream,
-which makes results independent of trial execution order.
+Every run draws from ``generator(seed)``, a Philox counter-based generator, so
+the same seed reproduces the same draws bit for bit on any platform.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "TailQuery",
-    "Rng",
+    "generator",
     "hyper_tail",
 ]
 
@@ -77,27 +74,10 @@ class TailQuery:
             raise ValueError(f"threshold_a={a} violates floor(k/2) < a <= k for k={k}")
 
 
-@dataclass
-class Rng:
-    """One reproducible random stream, identified by (seed, stream_id).
-
-    Streams with the same seed and distinct stream ids are statistically
-    independent; Philox is counter-based, so independence holds by
-    construction rather than by jump-ahead distance.  Instances are cheap and
-    single-consumer: never share one across Monte Carlo trials.
-    """
-
-    seed: int
-    stream_id: int = 0
-    _gen: np.random.Generator | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def generator(self) -> np.random.Generator:
-        """The underlying numpy generator (created lazily, then reused)."""
-        if self._gen is None:
-            seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
-            self._gen = np.random.Generator(np.random.Philox(seq))
-        return self._gen
+def generator(seed: int) -> np.random.Generator:
+    """The generator a run seeded with ``seed`` draws from: Philox, keyed by
+    ``SeedSequence(seed, spawn_key=(0,))``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))
 
 
 def _log_choose(n: int, k: int) -> float:

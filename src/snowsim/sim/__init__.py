@@ -13,12 +13,10 @@ configs and adversary strategies (:class:`Adversary`), which
 from snowsim.sim.avalanche import AvalancheConfig, AvalancheOutcome, IssuedTx, run_avalanche
 from snowsim.sim.network import (
     Adversary,
-    MonteCarlo,
     NetworkConfig,
     RunOutcome,
     SlushBatch,
     SnowBatch,
-    monte_carlo,
     run_slush,
     run_slush_batch,
     run_snow,
@@ -29,14 +27,12 @@ __all__ = [
     "Adversary",
     "NetworkConfig",
     "RunOutcome",
-    "MonteCarlo",
     "SlushBatch",
     "SnowBatch",
     "run_slush",
     "run_slush_batch",
     "run_snow",
     "run_snow_batch",
-    "monte_carlo",
     "AvalancheConfig",
     "AvalancheOutcome",
     "IssuedTx",

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from snowsim.dag import DagParams, DagState
-from snowsim.sampling import Rng
+from snowsim.sampling import generator
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -165,7 +165,7 @@ def run_avalanche(cfg: AvalancheConfig) -> AvalancheOutcome:
     """Run the configured network for its round budget and tally results."""
     c, n, k = cfg.c, cfg.n, cfg.params.k
     p = cfg.params
-    gen = Rng(cfg.seed).generator
+    gen = generator(cfg.seed)
     # A replica is built when first looked up, so a node costs nothing until
     # it acts or is queried.
     dags: defaultdict[int, DagState] = defaultdict(DagState)

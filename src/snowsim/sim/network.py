@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -54,7 +53,7 @@ from snowsim.machines import (
     fresh_state,
     handle_sample_result,
 )
-from snowsim.sampling import Rng, _tail_array
+from snowsim.sampling import _tail_array, generator
 
 # The batch engines draw their uniforms this many at a time, or one round's or
 # step's worth when that needs more. Larger blocks cost memory and save little.
@@ -151,7 +150,7 @@ def _run_scalar(cfg: NetworkConfig, variant: Variant, initial_reds: int) -> RunO
     proposed = {Color.RED: initial_reds > 0, Color.BLUE: initial_reds < c}
     byz_reds = cfg.b // 2 if all(proposed.values()) else (cfg.b if proposed[Color.RED] else 0)
     assign = colors[:]
-    gen = Rng(cfg.seed).generator
+    gen = generator(cfg.seed)
     red_count = initial_reds
     picks = [0] * c
     messages = decided_n = rounds_used = 0
@@ -248,33 +247,6 @@ def run_snow(cfg: NetworkConfig, variant: Variant, initial_reds: int) -> RunOutc
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo
-
-
-@dataclass(frozen=True)
-class MonteCarlo:
-    """Aggregate of independent trials; records keep per-trial values."""
-
-    mean: float
-    stddev: float
-    records: tuple[float, ...]
-
-
-def monte_carlo(experiment: Callable[[Rng], float], trials: int, base_seed: int) -> MonteCarlo:
-    """Run ``experiment`` on independent, order-insensitive seed streams.
-
-    Trial i always receives stream i of ``base_seed``, so results do not
-    depend on execution order and repeat exactly for the same seed.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    records = tuple(float(experiment(Rng(base_seed, stream_id=i))) for i in range(trials))
-    arr = np.asarray(records)
-    stddev = float(arr.std(ddof=1)) if trials > 1 else 0.0
-    return MonteCarlo(mean=float(arr.mean()), stddev=stddev, records=records)
-
-
-# ---------------------------------------------------------------------------
 # batch engines
 
 
@@ -346,7 +318,7 @@ def run_slush_batch(cfg: NetworkConfig, initial_reds: int, trials: int) -> Slush
     ends = move == 0
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_log, up_share = 1 / np.log1p(-move), chain.up / move
-    gen = Rng(cfg.seed).generator
+    gen = generator(cfg.seed)
     red = np.full(trials, initial_reds, dtype=np.int64)
     rounds = np.full(trials, 0 if initial_reds in (0, c) else phi, dtype=np.int64)
     live = np.arange(0 if ends[initial_reds] else trials)
@@ -448,7 +420,7 @@ def run_snow_batch(
     strategy = cfg.adversary
     snowball = variant is Variant.SNOWBALL
     p_red, p_any = _outcome_tables(cfg, initial_reds)
-    gen = Rng(cfg.seed).generator
+    gen = generator(cfg.seed)
 
     # Per-node state, flat: node u of trial t sits at t * c + u.
     col = np.zeros((trials, c), dtype=np.int8)

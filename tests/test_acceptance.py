@@ -30,7 +30,7 @@ from snowsim.analysis.chains import (
 from snowsim.analysis.design import SafetyDesign, early_commit_threshold, feasibility_search
 from snowsim.dag import GENESIS_ID, DagParams, DagState, Vertex
 from snowsim.machines import ProtocolParams, Variant
-from snowsim.sampling import Rng, TailQuery, hyper_tail
+from snowsim.sampling import TailQuery, generator, hyper_tail
 from snowsim.sim import (
     Adversary,
     AvalancheConfig,
@@ -69,7 +69,7 @@ def chain_mc(
     """Mechanical simulation of the color-count walk under the default
     (self-inclusive) sampling convention the analytic chain encodes: one
     uniformly scheduled node per step, a k-sample from all c nodes."""
-    gen = Rng(seed).generator
+    gen = generator(seed)
     reds = np.full(trials, start, dtype=np.int64)
     steps = np.zeros(trials, dtype=np.int64)
     active = (reds != 0) & (reds != c)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 
 import snowsim
 from snowsim.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main, parse_config_text
-from snowsim.reports import parse_csv, parse_jsonl, summarize
+from snowsim.reports import parse_csv, parse_jsonl
 
 TINY_SLUSH = ["slush-table", "--cells", "20", "--k", "5", "--a", "4", "--trials", "10"]
 
@@ -130,10 +131,28 @@ class TestSlushTable:
         rows = parse_csv((tmp_path / "t.csv").read_text())
         trials = parse_jsonl((tmp_path / "t.jsonl").read_text())
         assert len(rows) == 1 and len(trials) == 10
-        stats = summarize(trials)
-        assert rows[0].per_node_iters == stats["mean_per_node_iters"]
-        assert rows[0].rounds == stats["mean_rounds"]
-        assert rows[0].messages == int(stats["messages"])
+        assert rows[0].per_node_iters == sum(t.per_node_iters for t in trials) / len(trials)
+        assert rows[0].rounds == sum(t.rounds for t in trials) / len(trials)
+        assert rows[0].messages == sum(t.messages for t in trials)
+
+    def test_summary_prints_each_cells_sample_stddev(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        argv = ["slush-table", "--cells", "20,30", "--k", "5", "--a", "4", "--trials", "10"]
+        assert main(argv + ["--seed", "4", "--out", str(out)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        trials = parse_jsonl((tmp_path / "s.jsonl").read_text())
+        for c, line in zip((20, 30), lines, strict=True):
+            iters = [t.per_node_iters for t in trials if t.c == c]
+            assert len(iters) == 10
+            assert line == (
+                f"c={c} trials=10 per_node_iters mean={statistics.mean(iters):.4f} "
+                f"stddev={statistics.stdev(iters):.4f}"
+            )
+
+    def test_single_trial_prints_zero_stddev(self, tmp_path, capsys):
+        argv = ["slush-table", "--cells", "20", "--k", "5", "--a", "4", "--trials", "1"]
+        assert main(argv + ["--out", str(tmp_path / "one")]) == EXIT_OK
+        assert capsys.readouterr().out.rstrip().endswith(" stddev=0.0000")
 
     def test_aggregate_totals_are_exact_past_float_precision(self, tmp_path):
         # A frozen chain (c=4, k=3, a=3 from 2 reds) ends every trial at phi,

@@ -228,6 +228,17 @@ class TestQueryResolution:
         with pytest.raises(RequeryError):
             dag.record_query_result("A", 1, UNIT)
 
+    def test_next_unqueried_is_the_oldest_pending_vertex(self):
+        dag = DagState()
+        assert dag.next_unqueried() is None  # genesis never queries
+        self.chain(dag, ["A", "B", "C"])
+        dag.record_query_result("B", 1, UNIT)
+        assert dag.next_unqueried() == "A"
+        dag.record_query_result("A", 1, UNIT)
+        assert dag.next_unqueried() == "C"
+        dag.record_query_result("C", 1, UNIT)
+        assert dag.next_unqueried() is None
+
     def test_below_quorum_counts_as_failure(self):
         params = DagParams(k=5, a=4, beta1=2, beta2=3)
         dag = DagState()
@@ -437,6 +448,19 @@ class TestNop:
         assert dag.emit_nops(UNIT) == []
         dag.advance_clock(1)
         assert [nop.parents for nop in dag.emit_nops(UNIT)] == [("B", "C")]
+
+    def test_vertex_queried_out_of_order_is_not_pending(self):
+        dag = DagState()
+        dag.on_receive_tx(Vertex("A", b"", (GENESIS_ID,), "uA"))
+        dag.on_receive_tx(Vertex("O", b"", (GENESIS_ID,), "uO"))
+        dag.on_receive_tx(Vertex("B", b"", ("A",), "uB"))
+        dag.record_query_result("A", 1, UNIT)
+        dag.record_query_result("B", 0, UNIT)
+        assert dag.next_unqueried() == "O"
+        dag.advance_clock(UNIT.beta1)
+        # B's query is spent, so nothing will still reach A but a helper;
+        # the older O still waits, and its ancestry is genesis alone.
+        assert [nop.parents for nop in dag.emit_nops(UNIT)] == [("A",)]
 
     def test_fresh_vertex_is_not_stuck(self):
         dag = self.stuck_vertex()

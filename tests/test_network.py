@@ -26,12 +26,10 @@ from snowsim.analysis import (
     expected_absorption_time,
 )
 from snowsim.machines import Color, ProtocolParams, Variant
-from snowsim.sampling import Rng
 from snowsim.sim import (
     Adversary,
     NetworkConfig,
     SnowBatch,
-    monte_carlo,
     run_slush,
     run_slush_batch,
     run_snow,
@@ -117,21 +115,16 @@ class TestScalarSlush:
         p_red = 1.0 - absorption_probability(chain, start)
         t_chain = expected_absorption_time(chain, start)
 
-        def one(rng: Rng) -> float:
-            cfg = NetworkConfig(
-                n=c,
-                params=ProtocolParams(k=k, a=a),
-                phi=100_000,
-                seed=int(rng.generator.integers(2**63)),
-            )
+        trials = 240
+        rounds, reds = np.zeros(trials), np.zeros(trials, dtype=bool)
+        for i in range(trials):
+            # Trial i's seed is the first draw of its own stream of seed 42.
+            stream = np.random.Philox(np.random.SeedSequence(42, spawn_key=(i,)))
+            seed = int(np.random.Generator(stream).integers(2**63))
+            cfg = NetworkConfig(n=c, params=ProtocolParams(k=k, a=a), phi=100_000, seed=seed)
             out = run_slush(cfg, start)
             assert out.unanimity_color is not None
-            return out.rounds_used + (0.5 if out.unanimity_color is Color.RED else 0.0)
-
-        trials = 240
-        mc = monte_carlo(one, trials, base_seed=42)
-        rounds = np.floor(np.array(mc.records))
-        reds = np.array(mc.records) != rounds
+            rounds[i], reds[i] = out.rounds_used, out.unanimity_color is Color.RED
         # absorption probability, 4 sigma binomial envelope
         sig_p = np.sqrt(p_red * (1 - p_red) / trials)
         assert abs(reds.mean() - p_red) < 4 * sig_p
@@ -597,30 +590,6 @@ class TestSnowflakePreDecisionChain:
         per_node = batch.unanimity_round / c
         sem = float(per_node.std(ddof=1)) / math.sqrt(trials)
         assert abs(float(per_node.mean()) - expected) <= 4 * sem
-
-
-class TestMonteCarlo:
-    def test_single_trial_has_zero_stddev(self):
-        mc = monte_carlo(lambda rng: 3.5, 1, base_seed=0)
-        assert mc.mean == 3.5
-        assert mc.stddev == 0.0
-        assert mc.records == (3.5,)
-
-    def test_mean_and_stddev_recompute(self):
-        mc = monte_carlo(lambda rng: float(rng.generator.random()), 40, base_seed=9)
-        arr = np.array(mc.records)
-        assert mc.mean == pytest.approx(float(arr.mean()))
-        assert mc.stddev == pytest.approx(float(arr.std(ddof=1)))
-
-    def test_streams_are_independent_of_trial_count(self):
-        # Trial i sees the same stream no matter how many trials run.
-        a = monte_carlo(lambda rng: float(rng.generator.random()), 5, base_seed=4)
-        b = monte_carlo(lambda rng: float(rng.generator.random()), 9, base_seed=4)
-        assert a.records == b.records[:5]
-
-    def test_rejects_zero_trials(self):
-        with pytest.raises(ValueError):
-            monte_carlo(lambda rng: 0.0, 0, base_seed=0)
 
 
 class TestCompositionBound:

@@ -17,8 +17,8 @@ from snowsim.reports import (
     format_csv,
     format_jsonl,
     parse_csv,
+    aggregate,
     parse_jsonl,
-    summarize,
 )
 
 
@@ -178,25 +178,24 @@ class TestDigest:
         int(digest, 16)
 
 
-class TestSummarize:
-    def test_matches_recomputation(self):
+class TestAggregate:
+    def test_means_and_exact_totals(self):
         recs = [
-            record(per_node_iters=10.0, rounds=100.0, violations=1, messages=30),
-            record(per_node_iters=14.0, rounds=140.0, violations=0, messages=50),
+            record(per_node_iters=10.0, rounds=100.0, violations=1, messages=2**53 + 1),
+            record(per_node_iters=14.0, rounds=140.0, violations=0, messages=2**53 + 1),
+            record(per_node_iters=15.0, rounds=150.0, violations=1, messages=1),
         ]
-        summary = summarize(recs)
-        assert summary["records"] == 2.0
-        assert summary["mean_per_node_iters"] == pytest.approx(12.0)
-        assert summary["mean_rounds"] == pytest.approx(120.0)
-        assert summary["stddev_per_node_iters"] == pytest.approx(
-            math.sqrt(((10 - 12) ** 2 + (14 - 12) ** 2) / 1)
-        )
-        assert summary["violations"] == 1.0
-        assert summary["messages"] == 80.0
+        row = aggregate(recs)
+        assert row.per_node_iters == 13.0
+        assert row.rounds == 130.0
+        assert row.violations == 2
+        assert row.messages == 2**54 + 3  # a float sum would lose the low bits
+        assert row.accepted is None
+        assert (row.config_hash, row.n, row.beta) == (recs[0].config_hash, 100, 15)
 
-    def test_single_record_has_zero_spread(self):
-        assert summarize([record()])["stddev_per_node_iters"] == 0.0
+    def test_accepted_is_summed_where_trials_count_it(self):
+        assert aggregate([record(accepted=3), record(accepted=0), record(accepted=4)]).accepted == 7
 
     def test_empty_input_is_an_error(self):
         with pytest.raises(ReportError):
-            summarize([])
+            aggregate([])

@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snowsim.sampling import (
-    Rng,
     TailQuery,
     _tail_array,
     _tail_raw,
+    generator,
     hyper_tail,
 )
 
@@ -139,12 +139,18 @@ class TestTailArray:
         assert np.array_equal(_tail_array(n, xs, k, a), want)
 
 
-class TestRng:
-    def test_same_seed_and_stream_reproduce_the_draws(self):
-        a = Rng(9, 5).generator.integers(1 << 62, size=8)
-        b = Rng(9, 5).generator.integers(1 << 62, size=8)
+class TestGenerator:
+    def test_same_seed_reproduces_the_draws(self):
+        a = generator(9).integers(1 << 62, size=8)
+        b = generator(9).integers(1 << 62, size=8)
         assert a.tolist() == b.tolist()
 
-    def test_distinct_stream_ids_give_distinct_draws(self):
-        draws = {tuple(Rng(9, s).generator.integers(1 << 62, size=4).tolist()) for s in range(4)}
+    def test_distinct_seeds_give_distinct_draws(self):
+        draws = {tuple(generator(s).integers(1 << 62, size=4).tolist()) for s in range(4)}
         assert len(draws) == 4
+
+    def test_is_philox_keyed_by_the_first_spawned_sequence(self):
+        # Every golden digest rests on this key: stream 0 of the seed.
+        seq = np.random.SeedSequence(9, spawn_key=(0,))
+        want = np.random.Generator(np.random.Philox(seq)).random(8)
+        assert generator(9).random(8).tolist() == want.tolist()
